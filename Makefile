@@ -2,7 +2,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test lint smoke bench scenarios run-scenario run-all noc phy \
-	instrument serve backend-smoke dispatch-bench
+	instrument serve kernel-smoke dispatch-bench
 
 # Tier-1 verification: the full unit/integration suite plus benchmarks.
 test:
@@ -29,12 +29,12 @@ smoke:
 bench:
 	$(PYTHON) -m pytest -q benchmarks
 
-# The array-backend seam: selection rules, pre-seam bit-exactness
-# digests, and the >=5x kernel-throughput floor vs the frozen pre-seam
-# implementations.
-backend-smoke:
+# One kernel per layer: float64 bit-exactness against the historical
+# digests and the retired BP kernel, the dtype knob, and the kernel
+# throughput floors vs the frozen pre-seam implementations.
+kernel-smoke:
 	$(PYTHON) -m pytest -q tests/test_backend_module.py \
-		tests/test_backend_kernels.py \
+		tests/test_backend_kernels.py tests/test_coding_bp_oracle.py \
 		benchmarks/test_bench_backend_kernels.py
 	$(PYTHON) -m repro bench --json BENCH_kernels.json \
 		--batch-sizes 64 --repeats 1

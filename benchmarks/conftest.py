@@ -6,6 +6,10 @@ reproduced rows/series so the output can be compared against the original
 exactly once per benchmark (``rounds=1``) — the interesting output is the
 reproduced data, not a timing distribution.
 
+The retired reference implementations some benchmarks time against live
+in ``tests/oracles``; this conftest puts ``tests/`` on the import path so
+they import as ``oracles`` here too.
+
 The ``run_store`` fixture gives every benchmark a shared, content-addressed
 result store.  By default it is an in-process ``MemoryStore``; export
 ``REPRO_BENCH_STORE=DIR`` to back it with a ``DiskStore`` so warm re-runs
@@ -16,10 +20,14 @@ finish near-instantly.
 from __future__ import annotations
 
 import os
+import sys
 
 import pytest
 
 from repro.core.store import DiskStore, MemoryStore
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "tests"))
 
 
 @pytest.fixture(scope="session")

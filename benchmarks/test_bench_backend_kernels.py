@@ -1,22 +1,22 @@
-"""Backend seam — ≥5x large-batch throughput gate vs the pre-seam kernels.
+"""Hot kernels — ≥5x large-batch throughput gate vs the pre-seam kernels.
 
 The three hot kernels (batched BP decode, batched trellis demod, NoC
-cycle engine) now run behind the :mod:`repro.backend` seam with tiling,
-float32 message paths and fused in-place updates.  This benchmark pins
-the pre-seam kernels as frozen in-file baselines (the exact algorithms
-shipped before the seam landed: float64 ``np.add.reduceat`` BP,
+cycle engine) each have one NumPy implementation with tiling, a float32
+dtype and fused in-place updates.  This benchmark pins the kernels as
+they were before tiling and the dtype knob landed (the "pre-seam"
+kernels) as frozen in-file baselines (float64 ``np.add.reduceat`` BP,
 ``np.where``-sum observation probabilities + gather-indexed BCJR,
 one-replication-at-a-time NoC runs) and gates the **suite-level**
-speedup at ≥5x: total pre-seam wall time over total seam wall time on
-the large-batch workloads below.  Per-kernel floors guard each kernel
-against regressing individually (BP and the NoC engine each clear 5x on
-their own; the bandwidth-bound BCJR recursion contributes ~2x, carried
-by its 27x observation-table win).
+speedup at ≥5x: total pre-seam wall time over total current wall time
+on the large-batch workloads below.  Per-kernel floors guard each kernel
+against regressing individually (BP at float32 and the NoC engine each
+clear 5x on their own; the bandwidth-bound BCJR recursion contributes
+~2x, carried by its 27x observation-table win).
 
-Correctness rides along: the float32 BP path must agree with the exact
-float64 decoder on ≥99% of bits, the seam demod must pick the same
-symbols as the pre-seam demod, and the merged NoC engine must reproduce
-the sequential per-replication results *exactly*.
+Correctness rides along: the float32 BP kernel must agree with the
+exact float64 decoder on ≥99% of bits, the current demod must pick the
+same symbols as the pre-seam demod, and the merged NoC engine must
+reproduce the sequential per-replication results *exactly*.
 """
 
 import time

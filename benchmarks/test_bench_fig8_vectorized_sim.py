@@ -23,9 +23,9 @@ from repro.noc import (
     Mesh2D,
     Mesh3D,
     NocSimulator,
-    ReferenceNocSimulator,
     StarMesh,
 )
+from oracles.noc import ReferenceNocSimulator
 
 RATES = (0.05, 0.1, 0.15, 0.3)
 SEED = 0

@@ -22,8 +22,8 @@ from conftest import print_table, run_once
 from repro.phy.channel_model import OversampledOneBitChannel
 from repro.phy.modulation import AskConstellation
 from repro.phy.pulse import ramp_pulse
-from repro.phy.receiver import viterbi_loop_reference
 from repro.phy.trellis import TrellisKernel
+from oracles.trellis import viterbi_loop_reference
 
 SEED = 0
 N_SYMBOLS = 2_000

@@ -30,12 +30,9 @@ The library is organised as four substrates plus integration layers:
   deduplication, in-flight request coalescing, interactive-over-bulk
   priority), with :class:`~repro.service.client.ServiceClient` and the
   ``submit``/``status``/``fetch`` CLI verbs as consumers.
-* :mod:`repro.backend` — the pluggable array-backend seam
-  (:class:`~repro.backend.module.ArrayModule`) behind the three hot
-  kernels (batched BP decode, trellis demod, NoC cycle engine): NumPy
-  default, optional accelerator backends resolved lazily via the
-  ``backend=`` knobs or ``REPRO_BACKEND``, plus the ``python -m repro
-  bench`` kernel microbenchmarks.
+* :mod:`repro.bench` — the ``python -m repro bench`` microbenchmarks of
+  the three hot kernels (batched BP decode, trellis demod, NoC cycle
+  engine), one NumPy kernel each, at float64 (bit-exact) or float32.
 * :mod:`repro.instrument` — the acquisition layer: an abstract
   :class:`~repro.instrument.driver.Instrument` driver
   (connect/configure/sweep/fetch) with a
@@ -51,15 +48,9 @@ gives the links, the system, the sweep engine and the scenario registry;
 :mod:`repro.api` is the same facade as a flat importable module.
 """
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
-from repro import backend, channel, coding, core, instrument, noc, phy, utils
-from repro.backend import (
-    ArrayModule,
-    available_backends,
-    resolve_backend,
-    resolve_dtype,
-)
+from repro import channel, coding, core, instrument, noc, phy, utils
 from repro.core import (
     DiskStore,
     LinkReport,
@@ -116,12 +107,12 @@ from repro.service import (
     ServiceUnavailable,
     serve,
 )
+from repro.utils.validation import resolve_dtype
 from repro import api, scenarios, service
 
 __all__ = [
     # submodules
     "api",
-    "backend",
     "channel",
     "coding",
     "core",
@@ -132,10 +123,6 @@ __all__ = [
     "service",
     "utils",
     "__version__",
-    # array-backend seam
-    "ArrayModule",
-    "available_backends",
-    "resolve_backend",
     "resolve_dtype",
     # integration layer
     "WirelessBoardLink",

@@ -13,13 +13,7 @@ Everything here is re-exported from its home package; importing
 ``repro.api`` never builds anything.
 """
 
-from repro.backend import (
-    ArrayModule,
-    available_backends,
-    resolve_backend,
-    resolve_dtype,
-    run_kernel_benchmarks,
-)
+from repro.bench import run_kernel_benchmarks
 from repro.channel import (
     LinkBudget,
     LinkBudgetParameters,
@@ -81,11 +75,9 @@ from repro.service import (
     ServiceUnavailable,
     serve,
 )
+from repro.utils.validation import resolve_dtype
 
 __all__ = [
-    "ArrayModule",
-    "available_backends",
-    "resolve_backend",
     "resolve_dtype",
     "run_kernel_benchmarks",
     "LinkBudget",

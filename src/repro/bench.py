@@ -2,11 +2,10 @@
 
 Measures the throughput of the three hot kernels (batched BP decode,
 batched trellis BCJR demod, vectorized NoC cycle engine) for a grid of
-backend/dtype/batch-size combinations and returns machine-readable
-records — the payload of ``BENCH_kernels.json``.  The workloads are
-deliberately small enough for CI smoke runs; the gating *comparison*
-against the pre-seam kernels lives in
-``benchmarks/test_bench_backend_kernels.py``.
+dtype/batch-size combinations and returns machine-readable records — the
+payload of ``BENCH_kernels.json``.  The workloads are deliberately small
+enough for CI smoke runs; the gating *comparison* against the frozen
+historical kernels lives in ``benchmarks/test_bench_backend_kernels.py``.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.backend.module import resolve_backend, resolve_dtype
+from repro.utils.validation import resolve_dtype
 
 #: Kernel registry keys, in report order.
 KERNELS = ("bp_decode", "trellis_bcjr", "noc_cycle")
@@ -40,8 +39,7 @@ def _timed(fn, repeats: int) -> float:
     return best
 
 
-def _bench_bp(backend: str, dtype: str, batch_size: int,
-              repeats: int) -> Dict[str, Any]:
+def _bench_bp(dtype: str, batch_size: int, repeats: int) -> Dict[str, Any]:
     from repro.coding.bp import BeliefPropagationDecoder
     from repro.coding.codes import LdpcConvolutionalCode
     from repro.coding.protograph import paper_edge_spreading
@@ -51,7 +49,7 @@ def _bench_bp(backend: str, dtype: str, batch_size: int,
                                  termination_length=12, rng=0)
     decoder = BeliefPropagationDecoder(code.parity_check,
                                        max_iterations=iterations,
-                                       backend=backend, dtype=dtype)
+                                       dtype=dtype)
     rng = np.random.default_rng(5)
     sigma = 1.6  # noisy enough that decoding runs the full iteration budget
     llrs = 2.0 * (1.0 + rng.normal(0.0, sigma, size=(batch_size, code.n))) \
@@ -61,8 +59,7 @@ def _bench_bp(backend: str, dtype: str, batch_size: int,
             "workload": {"n": code.n, "iterations": iterations}}
 
 
-def _bench_trellis(backend: str, dtype: str, batch_size: int,
-                   repeats: int) -> Dict[str, Any]:
+def _bench_trellis(dtype: str, batch_size: int, repeats: int) -> Dict[str, Any]:
     from repro.phy.channel_model import OversampledOneBitChannel
     from repro.phy.modulation import AskConstellation
     from repro.phy.pulse import sequence_optimized_pulse
@@ -71,7 +68,7 @@ def _bench_trellis(backend: str, dtype: str, batch_size: int,
     n_symbols = 96
     channel = OversampledOneBitChannel(sequence_optimized_pulse(),
                                        AskConstellation(4), snr_db=15.0)
-    kernel = TrellisKernel(channel, backend=backend, dtype=dtype)
+    kernel = TrellisKernel(channel, dtype=dtype)
     signs = np.stack([channel.simulate(n_symbols, rng=seed)[1]
                       for seed in range(batch_size)])
     log_obs = channel.log_observation_probabilities(signs)
@@ -84,8 +81,7 @@ def _bench_trellis(backend: str, dtype: str, batch_size: int,
                          "n_states": channel.n_states}}
 
 
-def _bench_noc(backend: str, dtype: str, batch_size: int,
-               repeats: int) -> Dict[str, Any]:
+def _bench_noc(dtype: str, batch_size: int, repeats: int) -> Dict[str, Any]:
     from repro.noc.simulator import NocSimulator
     from repro.noc.topology import Mesh3D
 
@@ -93,7 +89,7 @@ def _bench_noc(backend: str, dtype: str, batch_size: int,
     # same measurement is reported under either label.  ``batch_size``
     # maps onto merged Monte-Carlo replications.
     n_cycles, warmup = 1200, 300
-    simulator = NocSimulator(Mesh3D(4, 4, 4), backend=backend)
+    simulator = NocSimulator(Mesh3D(4, 4, 4))
     seconds = _timed(
         lambda: simulator.run_batch(0.05, n_cycles=n_cycles,
                                     warmup_cycles=warmup,
@@ -113,7 +109,6 @@ _RUNNERS = {
 
 def run_kernel_benchmarks(
     kernels: Optional[Iterable[str]] = None,
-    backends: Sequence[str] = ("numpy",),
     dtypes: Sequence[str] = ("float64", "float32"),
     batch_sizes: Sequence[int] = (64, 256),
     repeats: int = 2,
@@ -121,44 +116,40 @@ def run_kernel_benchmarks(
     """Run the kernel microbenchmark grid and return the report dict.
 
     Returns ``{"units": {...}, "records": [...]}`` where each record
-    carries ``kernel``/``backend``/``dtype``/``batch_size``/``seconds``/
-    ``throughput`` plus a small ``workload`` descriptor.  Backend and
-    dtype names are resolved (and therefore validated) before running.
+    carries ``kernel``/``dtype``/``batch_size``/``seconds``/``throughput``
+    plus a small ``workload`` descriptor.  Kernel and dtype names are
+    validated before anything runs.
     """
     selected = list(kernels) if kernels is not None else list(KERNELS)
     for kernel in selected:
         if kernel not in _RUNNERS:
             raise ValueError(f"unknown kernel {kernel!r}; valid kernels: "
                              f"{', '.join(KERNELS)}")
+    resolved_dtypes = [resolve_dtype(dtype).name for dtype in dtypes]
     records: List[Dict[str, Any]] = []
-    for backend in backends:
-        resolved_backend = resolve_backend(backend)
-        for dtype in dtypes:
-            resolved_dtype = resolve_dtype(dtype)
-            for batch_size in batch_sizes:
-                for kernel in selected:
-                    result = _RUNNERS[kernel](backend, dtype,
-                                              int(batch_size), repeats)
-                    records.append({
-                        "kernel": kernel,
-                        "backend": resolved_backend.name,
-                        "dtype": resolved_dtype.name,
-                        "batch_size": int(batch_size),
-                        "units": KERNEL_UNITS[kernel],
-                        **result,
-                    })
+    for dtype in resolved_dtypes:
+        for batch_size in batch_sizes:
+            for kernel in selected:
+                result = _RUNNERS[kernel](dtype, int(batch_size), repeats)
+                records.append({
+                    "kernel": kernel,
+                    "dtype": dtype,
+                    "batch_size": int(batch_size),
+                    "units": KERNEL_UNITS[kernel],
+                    **result,
+                })
     return {"units": dict(KERNEL_UNITS), "records": records}
 
 
 def format_report(report: Dict[str, Any]) -> str:
     """Human-readable table of a :func:`run_kernel_benchmarks` report."""
-    header = (f"{'kernel':<14} {'backend':<8} {'dtype':<8} "
+    header = (f"{'kernel':<14} {'dtype':<8} "
               f"{'batch':>6} {'seconds':>10} {'throughput':>14}  units")
     lines = [header, "-" * len(header)]
     for record in report["records"]:
         lines.append(
-            f"{record['kernel']:<14} {record['backend']:<8} "
-            f"{record['dtype']:<8} {record['batch_size']:>6} "
+            f"{record['kernel']:<14} {record['dtype']:<8} "
+            f"{record['batch_size']:>6} "
             f"{record['seconds']:>10.4f} {record['throughput']:>14.1f}  "
             f"{record['units']}")
     return "\n".join(lines)

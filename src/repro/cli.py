@@ -16,7 +16,7 @@ The zero-code path to every experiment in the scenario registry:
     python -m repro cache gc --store .repro-store --max-age-days 30
     python -m repro cache clear --store .repro-store
 
-the hot-kernel microbenchmarks (see :mod:`repro.backend.bench`):
+the hot-kernel microbenchmarks (see :mod:`repro.bench`):
 
 .. code-block:: console
 
@@ -372,13 +372,10 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.backend.bench import format_report, run_kernel_benchmarks
+    from repro.bench import format_report, run_kernel_benchmarks
 
     report = run_kernel_benchmarks(
         kernels=args.kernels.split(",") if args.kernels else None,
-        # None defers to REPRO_BACKEND (or numpy) via resolve_backend.
-        backends=tuple(args.backends.split(","))
-        if args.backends else (None,),
         dtypes=tuple(args.dtypes.split(",")),
         batch_sizes=tuple(int(value)
                           for value in args.batch_sizes.split(",")),
@@ -681,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser = subparsers.add_parser(
         "bench",
         help="run the hot-kernel microbenchmarks (BP decode, trellis "
-             "BCJR, NoC cycle engine) across backends/dtypes/batch sizes")
+             "BCJR, NoC cycle engine) across dtypes and batch sizes")
     bench_parser.add_argument(
         "--json", dest="json_path", metavar="FILE", nargs="?",
         const="BENCH_kernels.json", default=None,
@@ -692,10 +689,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernels", default=None, metavar="K1,K2",
         help="comma-separated kernel subset (default: all of "
              "bp_decode,trellis_bcjr,noc_cycle)")
-    bench_parser.add_argument(
-        "--backends", default=None, metavar="B1,B2",
-        help="comma-separated backends to measure (default: the "
-             "REPRO_BACKEND environment variable, else numpy)")
     bench_parser.add_argument(
         "--dtypes", default="float64,float32", metavar="D1,D2",
         help="comma-separated dtypes (default: float64,float32)")

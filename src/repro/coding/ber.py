@@ -17,13 +17,12 @@ smallest Eb/N0 at which the measured BER falls below a target.
 Simulation is *batched*: noise is generated as a ``(B, n)`` matrix and
 decoded through a batch decoder callback (e.g.
 :meth:`repro.coding.window_decoder.WindowDecoder.decode_bits_batch`) when
-one is available, falling back to row-by-row decoding otherwise.  The
-original per-codeword loop is kept as
-:meth:`BerSimulator.simulate_reference`; because a ``(B, n)`` normal draw
-consumes the generator stream exactly like ``B`` consecutive ``(n,)``
-draws, both paths see identical noise and — given a batch decoder that is
-row-equivalent to the scalar one — return identical
-:class:`BerPoint` values at a fixed seed (asserted in the test suite).
+one is available, falling back to row-by-row decoding otherwise.  A
+``(B, n)`` normal draw consumes the generator stream exactly like ``B``
+consecutive ``(n,)`` draws, so — given a batch decoder that is
+row-equivalent to the scalar one — the batched path returns the same
+:class:`BerPoint` as the original per-codeword loop at a fixed seed (the
+test suite keeps that loop as its oracle).
 """
 
 from __future__ import annotations
@@ -354,8 +353,8 @@ class BerSimulator:
         in batches of ``batch_size``; the per-codeword bookkeeping (and
         in particular the ``max_bit_errors`` stopping rule) is applied
         row by row in transmission order, so with the default BPSK/AWGN
-        frontend the returned :class:`BerPoint` is identical to
-        :meth:`simulate_reference` at the same seed.
+        frontend the returned :class:`BerPoint` is identical to the
+        original per-codeword loop at the same seed.
 
         ``max_bit_errors`` stops the measurement once enough errors have
         been collected (useful inside the required-Eb/N0 search) and
@@ -437,48 +436,6 @@ class BerSimulator:
             tally.n_batches = 1
             tallies.append(tally)
         return tallies
-
-    def simulate_reference(self, ebn0_db: float, n_codewords: int = 50,
-                           rng: RngLike = None,
-                           max_bit_errors: Optional[int] = None) -> BerPoint:
-        """Per-codeword BPSK/AWGN reference (the pre-batching implementation).
-
-        Kept as the ground truth the batched :meth:`simulate` is checked
-        against for the default BPSK/AWGN frontend; see the module
-        docstring for why both paths agree bit for bit at a fixed seed.
-        This path is always BPSK/AWGN regardless of the configured
-        frontend.
-        """
-        check_positive("n_codewords", n_codewords)
-        generator = ensure_rng(rng)
-        sigma = self.noise_std(ebn0_db)
-        total_bits = 0
-        total_errors = 0
-        block_errors = 0
-        codewords_done = 0
-        truncated = False
-        for _ in range(int(n_codewords)):
-            received = 1.0 + generator.normal(0.0, sigma,
-                                              size=self.codeword_length)
-            llrs = self.channel_llrs(received, ebn0_db)
-            decisions = np.asarray(self.decode(llrs)).reshape(-1)
-            if decisions.size != self.codeword_length:
-                raise ValueError("decoder returned the wrong number of bits")
-            errors = int(np.count_nonzero(decisions))
-            total_errors += errors
-            total_bits += self.codeword_length
-            block_errors += int(errors > 0)
-            codewords_done += 1
-            if max_bit_errors is not None and total_errors >= max_bit_errors:
-                truncated = True
-                break
-        return BerPoint(ebn0_db=float(ebn0_db),
-                        bit_error_rate=total_errors / total_bits,
-                        block_error_rate=block_errors / codewords_done,
-                        n_bits=total_bits,
-                        n_bit_errors=total_errors,
-                        n_codewords=codewords_done,
-                        truncated=truncated)
 
     def ber_curve(self, ebn0_grid, n_codewords: int = 50,
                   rng: RngLike = None, engine=None) -> list:

@@ -1,41 +1,47 @@
-"""Vectorised sum-product belief-propagation decoding.
+"""Sum-product belief-propagation decoding: one tiled kernel for every batch.
 
 The decoder works on any sparse parity-check matrix.  Messages live on the
-edges of the Tanner graph; variable and check updates are fully vectorised
-with numpy using a CSR-like edge layout, so decoding the paper's largest
-windows (a few thousand edges) takes well under a millisecond per
-iteration.
+edges of the Tanner graph in an *edge-major* layout — ``(n_edges, B)``
+arrays with one column per codeword — so one numpy call advances every
+codeword of a batch by one step of the update, and the per-check and
+per-variable sums are matmuls with cached CSR scatter matrices.
 
 The check-node update is the exact sum-product rule evaluated in the
 sign/log-magnitude domain, which is numerically stable even for the
 saturated (±infinity-like) messages injected by the window decoder for
-already-decided symbols.
+already-decided symbols:
 
-Two entry points are provided: :meth:`BeliefPropagationDecoder.decode` for
-a single LLR vector and :meth:`BeliefPropagationDecoder.decode_batch` for
-a ``(B, n)`` matrix of LLR vectors.  The batched path runs the same edge
-updates with the batch as a leading axis (one numpy call decodes all
-codewords), removes codewords from the working set as soon as their
-syndrome clears, and — on the default NumPy/float64 backend — reproduces
-the scalar path bit for bit: every per-edge reduction is evaluated in the
-same operand order as its scalar counterpart, so
-``decode_batch(X)[i] == decode(X[i])`` exactly.
+* ``|tanh(v/2)|`` is floored at ``max(1e-300, finfo(dtype).tiny)`` before
+  its log is summed per check;
+* an edge's exclusive magnitude ``exp(min(total - own, 0))`` is capped at
+  ``1 - 1e-15`` (or the largest value below 1 of the dtype), and twice
+  its ``arctanh`` is clipped to ``LLR_CLIP``;
+* an edge's exclusive sign is the parity of its check's negative count
+  times the edge's own sign.
 
-Array backend and dtype
------------------------
-The batched path runs behind the :mod:`repro.backend` seam.  The default
-(``backend="numpy"``, ``dtype="float64"``) is the bit-exact reference;
-selecting ``dtype="float32"`` switches ``decode_batch`` to a fused
-in-place message path on preallocated, cache-tiled buffers whose
-transcendentals (tanh/log/exp/arctanh) vectorise 4–10x faster through
-SIMD — statistically equivalent, not bit-identical (float32 saturates
-check messages near ``2*arctanh(1 - 2^-24) ≈ 17.3`` instead of
-``LLR_CLIP``).  Index tables and work buffers are cached on the decoder
-instance, so repeated small-batch calls (the adaptive-precision sweep
-pattern) stop re-allocating; cached state never leaks between calls —
-two sequential ``decode_batch`` calls are byte-identical to a fresh
-instance.  The scalar :meth:`decode` path is kept untouched as ground
-truth.
+Summation order and bit-exactness
+---------------------------------
+Per-variable sums add a variable's edges in ascending order starting from
+zero, like ``np.bincount``.  Per-check sums add a check's first edge to
+the in-order sum of its other edges, which is what ``np.add.reduceat``
+returns for the check degrees of the repo's codes (below 8, where numpy's
+pairwise summation runs sequentially).  At float64 the kernel therefore
+reproduces the historical row-major reference decoder bit for bit; the
+test suite pins this against that decoder, kept as an oracle.
+
+Batching and dtype
+------------------
+:meth:`BeliefPropagationDecoder.decode_batch` splits a batch into
+cache-sized tiles.  A codeword whose syndrome clears is frozen (its
+outputs are snapshotted) while its tile runs on, so codewords never
+interact and ``decode_batch(X)[i] == decode(X[i])``.  ``dtype="float32"``
+runs the same kernel in single precision: its transcendentals vectorise
+several times faster through SIMD and the results are statistically
+equivalent, not bit-identical (float32 saturates check messages near
+``2*arctanh(1 - 2^-24) ≈ 17.3`` instead of ``LLR_CLIP``).  Scatter
+matrices and work buffers are cached on the decoder instance; no state
+leaks between calls, so two sequential decodes are byte-identical to a
+fresh instance.
 """
 
 from __future__ import annotations
@@ -45,25 +51,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from repro.backend import resolve_backend, resolve_dtype
+from repro.utils.validation import resolve_dtype
 
 #: Magnitudes of log-likelihood ratios are clipped to this value; large
 #: enough to behave like certainty, small enough to avoid overflow in tanh.
 LLR_CLIP = 30.0
 
 _TANH_FLOOR = 1e-300
-
-
-def _apply(fn, *args, out=None):
-    """Call a ufunc with ``out=`` only when an output buffer is given.
-
-    The generic (no ``supports_out``) backend path passes ``out=None``
-    and must not forward the keyword — functional namespaces like
-    ``jax.numpy`` reject it entirely.
-    """
-    if out is None:
-        return fn(*args)
-    return fn(*args, out=out)
 
 
 @dataclass(frozen=True)
@@ -101,8 +95,8 @@ class BatchDecodeResult:
     converged:
         ``(B,)`` flags: all parity checks satisfied before the limit.
     iterations:
-        ``(B,)`` iterations performed per codeword (early-terminating
-        codewords leave the working set as soon as their syndrome clears).
+        ``(B,)`` iterations performed per codeword (a codeword stops
+        counting as soon as its syndrome clears).
     """
 
     hard_decisions: np.ndarray
@@ -130,119 +124,58 @@ class BeliefPropagationDecoder:
         Sparse (or dense) binary parity-check matrix.
     max_iterations:
         Iteration limit; decoding stops early once the syndrome is zero.
-    backend:
-        Array backend for the batched path — a name, an
-        :class:`repro.backend.ArrayModule` or ``None`` (``REPRO_BACKEND``
-        env var, default numpy).
     dtype:
-        Message dtype of the batched path: ``"float64"`` (bit-exact
-        default) or ``"float32"`` (fast SIMD path).
-    tile_rows:
-        Batch tile size of the fast path; ``None`` picks a cache-sized
-        tile from the edge count.
+        Message dtype: ``"float64"`` (bit-exact default) or ``"float32"``.
     """
 
     def __init__(self, parity_check, max_iterations: int = 50,
-                 backend=None, dtype=None, tile_rows=None) -> None:
+                 dtype=None) -> None:
         if max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         matrix = sparse.csr_matrix(parity_check).astype(np.int8)
         if matrix.nnz == 0:
             raise ValueError("parity-check matrix has no edges")
-        if tile_rows is not None and tile_rows < 1:
-            raise ValueError("tile_rows must be positive")
         self.parity_check = matrix
         self.max_iterations = int(max_iterations)
         self.n_checks, self.n_variables = matrix.shape
-        self.backend = resolve_backend(backend)
         self.dtype = resolve_dtype(dtype)
-        self.tile_rows = None if tile_rows is None else int(tile_rows)
 
         coo = matrix.tocoo()
         order = np.lexsort((coo.col, coo.row))
-        self._edge_check = coo.row[order].astype(np.int64)
+        edge_check = coo.row[order].astype(np.int64)
         self._edge_variable = coo.col[order].astype(np.int64)
-        self.n_edges = self._edge_check.size
-        # Row (check) segmentation of the edge list.
-        self._check_ptr = np.searchsorted(self._edge_check,
-                                          np.arange(self.n_checks + 1))
-        self._check_degrees = np.diff(self._check_ptr)
-        if np.any(self._check_degrees == 0):
-            # Checks without edges are always satisfied; keep them but note
-            # reduceat needs non-empty segments, so guard below.
-            self._nonempty_checks = np.where(self._check_degrees > 0)[0]
-        else:
-            self._nonempty_checks = None
-        # Each edge's position in the per-(non-empty-)check reduction
-        # output: scattering reduced values back onto the edges is one
-        # gather through this table (an edge always belongs to a
-        # non-empty check, so the table is total).
-        if self._nonempty_checks is None:
-            self._edge_segment = self._edge_check
-        else:
-            segment_of_check = np.full(self.n_checks, -1, dtype=np.int64)
-            segment_of_check[self._nonempty_checks] = np.arange(
-                self._nonempty_checks.size)
-            self._edge_segment = segment_of_check[self._edge_check]
-        # Segment start/end edge indices for the cumulative-sum fallback
-        # of backends without ``add.reduceat``.
-        starts = self._check_segments()
-        degrees = (self._check_degrees if self._nonempty_checks is None
-                   else self._check_degrees[self._nonempty_checks])
-        self._segment_starts = starts
-        self._segment_ends = starts + degrees - 1
-        # Lazily built per-instance caches (see decode_batch).
-        self._bins_flat = None          # largest flattened bincount bins
-        self._bins_rows = 0
-        self._var_scatter = None        # CSR (n_vars, n_edges) accumulator
-        self._check_scatter = None      # CSR (n_checks, n_edges) accumulator
-        self._fast_buffers = None       # preallocated generic-path buffers
-        self._fast_rows = 0
-        self._tuned_buffers = None      # preallocated tuned-path buffers
-        self._tuned_width = 0
+        self.n_edges = edge_check.size
+        # Edges are grouped by check; checks without edges are always
+        # satisfied and take no part in the sums.
+        check_ptr = np.searchsorted(edge_check, np.arange(self.n_checks + 1))
+        degrees = np.diff(check_ptr)
+        self._first_edges = check_ptr[:-1][degrees > 0]
+        n_segments = self._first_edges.size
+        self._edge_segment = np.repeat(np.arange(n_segments),
+                                       degrees[degrees > 0])
+        edges = np.arange(self.n_edges)
+        ones = np.ones(self.n_edges, dtype=self.dtype)
+        # CSR scatter matrices.  Within a row the edges ascend, so a matmul
+        # adds them in edge order starting from zero.
+        self._variable_sums = sparse.csr_matrix(
+            (ones, (self._edge_variable, edges)),
+            shape=(self.n_variables, self.n_edges))
+        self._check_sums = sparse.csr_matrix(
+            (ones, (self._edge_segment, edges)),
+            shape=(n_segments, self.n_edges))
+        tail = np.ones(self.n_edges, dtype=bool)
+        tail[self._first_edges] = False
+        self._check_tail_sums = sparse.csr_matrix(
+            (ones[tail], (self._edge_segment[tail], edges[tail])),
+            shape=(n_segments, self.n_edges))
+        # Size tiles so the (n_edges, tile) work arrays stay within a few
+        # MB of cache.
+        self._tile_size = max(32, (6 << 20)
+                              // (6 * self.n_edges * self.dtype.itemsize))
+        self._buffers = None
+        self._buffer_width = 0
 
     # ------------------------------------------------------------------
-    def _check_segments(self) -> np.ndarray:
-        """Start offsets of each (non-empty) check's edge segment."""
-        if self._nonempty_checks is None:
-            return self._check_ptr[:-1]
-        return self._check_ptr[:-1][self._nonempty_checks]
-
-    def _scatter_check_values(self, per_segment: np.ndarray) -> np.ndarray:
-        """Expand per-check values back onto the edges."""
-        per_check = np.zeros(self.n_checks)
-        if self._nonempty_checks is None:
-            per_check[:] = per_segment
-        else:
-            per_check[self._nonempty_checks] = per_segment
-        return per_check[self._edge_check]
-
-    def _batch_variable_sums(self, check_messages: np.ndarray) -> np.ndarray:
-        """Per-variable sums of incoming check messages, ``(B, n_vars)``.
-
-        One flattened ``np.bincount`` call over row-offset bins visits each
-        row's edges in the same order as the scalar path's per-row
-        ``bincount``, keeping the accumulation bit-identical (a segmented
-        ``np.add.reduceat`` would use pairwise summation and drift by an
-        ulp).  The bins table is cached for the largest batch seen; a
-        smaller batch is a prefix slice of it.
-        """
-        rows = check_messages.shape[0]
-        if rows > self._bins_rows:
-            offsets = np.arange(rows, dtype=np.int64)[:, None] \
-                * self.n_variables
-            self._bins_flat = (offsets + self._edge_variable[None, :]).ravel()
-            self._bins_rows = rows
-        bins = self._bins_flat[:rows * self.n_edges]
-        sums = np.bincount(bins, weights=check_messages.ravel(),
-                           minlength=rows * self.n_variables)
-        return sums.reshape(rows, self.n_variables)
-
-    def _batch_scatter_check_values(self, per_segment: np.ndarray
-                                    ) -> np.ndarray:
-        """Expand per-check values back onto the edges, batched."""
-        return per_segment[:, self._edge_segment]
-
     def syndrome_ok(self, hard_decisions: np.ndarray) -> bool:
         """True if the candidate word satisfies every parity check."""
         hard_decisions = np.asarray(hard_decisions, dtype=np.int8)
@@ -252,173 +185,34 @@ class BeliefPropagationDecoder:
     def decode(self, channel_llrs: np.ndarray) -> DecodeResult:
         """Run sum-product decoding on a vector of channel LLRs.
 
-        The scalar path always runs on NumPy/float64 — it is the ground
-        truth every batched/backend variant is validated against.
+        The result equals ``decode_batch(channel_llrs[None])[0]``.
         """
-        channel_llrs = np.asarray(channel_llrs, dtype=float).reshape(-1)
-        if channel_llrs.size != self.n_variables:
-            raise ValueError(
-                f"expected {self.n_variables} channel LLRs, "
-                f"got {channel_llrs.size}")
-        channel_llrs = np.clip(channel_llrs, -LLR_CLIP, LLR_CLIP)
-        check_messages = np.zeros(self.n_edges)
-        segments = self._check_segments()
-        posterior = channel_llrs.copy()
-        iterations_done = 0
-        converged = False
-        for iteration in range(1, self.max_iterations + 1):
-            iterations_done = iteration
-            # ---- variable-node update --------------------------------
-            sums = np.bincount(self._edge_variable, weights=check_messages,
-                               minlength=self.n_variables)
-            variable_messages = (channel_llrs + sums)[self._edge_variable] \
-                - check_messages
-            variable_messages = np.clip(variable_messages, -LLR_CLIP, LLR_CLIP)
-            # ---- check-node update (sign / log-magnitude) -------------
-            tanh_half = np.tanh(variable_messages / 2.0)
-            signs = np.where(tanh_half < 0.0, -1.0, 1.0)
-            magnitudes = np.maximum(np.abs(tanh_half), _TANH_FLOOR)
-            log_magnitudes = np.log(magnitudes)
-            negative = (signs < 0.0).astype(np.int64)
-            neg_counts = np.add.reduceat(negative, segments)
-            log_sums = np.add.reduceat(log_magnitudes, segments)
-            total_neg_on_edges = self._scatter_check_values(neg_counts)
-            total_log_on_edges = self._scatter_check_values(log_sums)
-            excl_neg = total_neg_on_edges - negative
-            excl_log = total_log_on_edges - log_magnitudes
-            excl_sign = np.where(excl_neg % 2 == 1, -1.0, 1.0)
-            excl_magnitude = np.exp(np.minimum(excl_log, 0.0))
-            excl_magnitude = np.clip(excl_magnitude, 0.0, 1.0 - 1e-15)
-            check_messages = 2.0 * np.arctanh(excl_sign * excl_magnitude)
-            check_messages = np.clip(check_messages, -LLR_CLIP, LLR_CLIP)
-            # ---- posterior and stopping rule ---------------------------
-            sums = np.bincount(self._edge_variable, weights=check_messages,
-                               minlength=self.n_variables)
-            posterior = channel_llrs + sums
-            hard = (posterior < 0.0).astype(np.int8)
-            if self.syndrome_ok(hard):
-                converged = True
-                break
-        hard = (posterior < 0.0).astype(np.int8)
-        return DecodeResult(hard_decisions=hard, posterior_llrs=posterior,
-                            converged=converged, iterations=iterations_done)
+        channel_llrs = np.asarray(channel_llrs, dtype=float).reshape(1, -1)
+        return self._decode(channel_llrs)[0]
 
-    # ------------------------------------------------------------------
     def decode_batch(self, channel_llrs: np.ndarray) -> BatchDecodeResult:
         """Decode a ``(B, n)`` matrix of channel LLR vectors in one pass.
 
-        The edge-message updates run with the batch as a leading axis, so
-        one numpy call advances every codeword by one iteration.  A
-        codeword whose syndrome clears is frozen and removed from the
-        working set (per-codeword early termination), keeping the work
-        proportional to the still-undecoded rows.  On the default
-        NumPy/float64 backend the result is bit-exact against the scalar
-        path: ``decode_batch(X)[i] == decode(X[i])``.  Other
-        backend/dtype combinations run the fused fast path and are
-        statistically equivalent.
+        Row ``i`` of the result is bit-exact against ``decode(X[i])``.
         """
         channel_llrs = np.asarray(channel_llrs, dtype=float)
         if channel_llrs.ndim != 2:
             raise ValueError("decode_batch expects a (B, n) LLR matrix")
+        if channel_llrs.shape[0] == 0:
+            raise ValueError("decode_batch needs at least one codeword")
+        return self._decode(channel_llrs)
+
+    def _decode(self, channel_llrs: np.ndarray) -> BatchDecodeResult:
         if channel_llrs.shape[1] != self.n_variables:
             raise ValueError(
                 f"expected {self.n_variables} channel LLRs per codeword, "
                 f"got {channel_llrs.shape[1]}")
-        if channel_llrs.shape[0] == 0:
-            raise ValueError("decode_batch needs at least one codeword")
         channel_llrs = np.clip(channel_llrs, -LLR_CLIP, LLR_CLIP)
-        if self.backend.is_numpy and self.dtype == np.float64:
-            return self._decode_batch_exact(channel_llrs)
-        return self._decode_batch_fast(channel_llrs)
-
-    # ------------------------------------------------------------------
-    # bit-exact float64 path
-    # ------------------------------------------------------------------
-    def _decode_batch_exact(self, channel_llrs: np.ndarray
-                            ) -> BatchDecodeResult:
         batch_size = channel_llrs.shape[0]
-        posterior_out = channel_llrs.copy()
-        iterations_out = np.zeros(batch_size, dtype=int)
-        converged_out = np.zeros(batch_size, dtype=bool)
-
-        active = np.arange(batch_size)
-        active_llrs = channel_llrs
-        check_messages = np.zeros((batch_size, self.n_edges))
-        segments = self._check_segments()
-        # The per-variable sums of the current check messages.  All-zero
-        # messages sum to exactly zero, and at the end of every iteration
-        # the posterior sums *are* next iteration's variable sums (same
-        # bincount over the same messages), so one of the two historical
-        # bincounts per iteration is reused instead of recomputed.
-        sums = np.zeros_like(active_llrs)
-        for iteration in range(1, self.max_iterations + 1):
-            iterations_out[active] = iteration
-            # ---- variable-node update --------------------------------
-            variable_messages = (active_llrs + sums)[:, self._edge_variable] \
-                - check_messages
-            variable_messages = np.clip(variable_messages,
-                                        -LLR_CLIP, LLR_CLIP)
-            # ---- check-node update (sign / log-magnitude) -------------
-            tanh_half = np.tanh(variable_messages / 2.0)
-            signs = np.where(tanh_half < 0.0, -1.0, 1.0)
-            magnitudes = np.maximum(np.abs(tanh_half), _TANH_FLOOR)
-            log_magnitudes = np.log(magnitudes)
-            negative = (signs < 0.0).astype(np.int64)
-            neg_counts = np.add.reduceat(negative, segments, axis=1)
-            log_sums = np.add.reduceat(log_magnitudes, segments, axis=1)
-            total_neg_on_edges = self._batch_scatter_check_values(neg_counts)
-            total_log_on_edges = self._batch_scatter_check_values(log_sums)
-            excl_neg = total_neg_on_edges - negative
-            excl_log = total_log_on_edges - log_magnitudes
-            excl_sign = np.where(excl_neg % 2 == 1, -1.0, 1.0)
-            excl_magnitude = np.exp(np.minimum(excl_log, 0.0))
-            excl_magnitude = np.clip(excl_magnitude, 0.0, 1.0 - 1e-15)
-            check_messages = 2.0 * np.arctanh(excl_sign * excl_magnitude)
-            check_messages = np.clip(check_messages, -LLR_CLIP, LLR_CLIP)
-            # ---- posterior and per-codeword stopping rule --------------
-            sums = self._batch_variable_sums(check_messages)
-            posterior = active_llrs + sums
-            hard = (posterior < 0.0).astype(np.int8)
-            syndromes = self.parity_check.dot(hard.T) % 2
-            satisfied = ~np.any(syndromes, axis=0)
-            finished = satisfied | (iteration == self.max_iterations)
-            if np.any(finished):
-                rows = active[finished]
-                posterior_out[rows] = posterior[finished]
-                converged_out[rows] = satisfied[finished]
-                keep = ~finished
-                active = active[keep]
-                if active.size == 0:
-                    break
-                active_llrs = active_llrs[keep]
-                check_messages = check_messages[keep]
-                sums = sums[keep]
-        hard_out = (posterior_out < 0.0).astype(np.int8)
-        return BatchDecodeResult(hard_decisions=hard_out,
-                                 posterior_llrs=posterior_out,
-                                 converged=converged_out,
-                                 iterations=iterations_out)
-
-    # ------------------------------------------------------------------
-    # fused fast path (float32 and/or non-NumPy backends)
-    # ------------------------------------------------------------------
-    def _default_tile_rows(self) -> int:
-        # Size tiles so the ~6 (tile, n_edges) work buffers stay within a
-        # few MB of cache per tile.
-        itemsize = self.dtype.itemsize
-        budget = 6 << 20
-        return max(32, budget // max(1, 6 * self.n_edges * itemsize))
-
-    def _decode_batch_fast(self, channel_llrs: np.ndarray
-                           ) -> BatchDecodeResult:
-        batch_size = channel_llrs.shape[0]
-        tile = self.tile_rows or self._default_tile_rows()
-        decode_tile = (self._decode_tile_tuned
-                       if self.backend.is_numpy and self.backend.supports_out
-                       else self._decode_tile_generic)
+        tile = self._tile_size
         if batch_size <= tile:
-            return decode_tile(channel_llrs)
-        parts = [decode_tile(channel_llrs[start:start + tile])
+            return self._decode_tile(channel_llrs)
+        parts = [self._decode_tile(channel_llrs[start:start + tile])
                  for start in range(0, batch_size, tile)]
         return BatchDecodeResult(
             hard_decisions=np.concatenate([p.hard_decisions for p in parts]),
@@ -426,141 +220,34 @@ class BeliefPropagationDecoder:
             converged=np.concatenate([p.converged for p in parts]),
             iterations=np.concatenate([p.iterations for p in parts]))
 
-    def _variable_scatter_matrix(self):
-        """CSR ``(n_vars, n_edges)`` accumulator: sums messages per variable."""
-        if self._var_scatter is None:
-            data = np.ones(self.n_edges, dtype=self.dtype)
-            self._var_scatter = sparse.csr_matrix(
-                (data, (self._edge_variable, np.arange(self.n_edges))),
-                shape=(self.n_variables, self.n_edges))
-        return self._var_scatter
+    def _work_arrays(self, width: int):
+        """Four ``(n_edges, width)`` and two ``(n_vars, width)`` contiguous
+        work arrays, viewed from flat buffers sized for the widest tile
+        seen so repeated calls do not re-allocate."""
+        rows = (self.n_edges,) * 4 + (self.n_variables,) * 2
+        if width > self._buffer_width:
+            self._buffers = [np.empty(n * width, dtype=self.dtype)
+                             for n in rows]
+            self._buffer_width = width
+        return [buffer[:n * width].reshape(n, width)
+                for buffer, n in zip(self._buffers, rows)]
 
-    def _check_scatter_matrix(self):
-        """CSR ``(n_checks, n_edges)`` accumulator: sums values per check."""
-        if self._check_scatter is None:
-            data = np.ones(self.n_edges, dtype=self.dtype)
-            self._check_scatter = sparse.csr_matrix(
-                (data, (self._edge_check, np.arange(self.n_edges))),
-                shape=(self.n_checks, self.n_edges))
-        return self._check_scatter
-
-    def _fast_variable_sums(self, xp, messages, rows: int):
-        """Per-variable message sums on the fast path, ``(rows, n_vars)``."""
-        if self.backend.is_numpy:
-            # Sparse accumulator matmul: one float32-native pass (bincount
-            # would round-trip through float64).
-            return np.asarray(
-                self._variable_scatter_matrix().dot(messages.T).T,
-                dtype=self.dtype, order="C")
-        bins = self.backend.from_numpy(
-            self._bins_for(rows))
-        flat = xp.bincount(bins, weights=messages.reshape(-1),
-                           minlength=rows * self.n_variables)
-        return xp.asarray(flat.reshape(rows, self.n_variables),
-                          dtype=messages.dtype)
-
-    def _bins_for(self, rows: int) -> np.ndarray:
-        if rows > self._bins_rows:
-            offsets = np.arange(rows, dtype=np.int64)[:, None] \
-                * self.n_variables
-            self._bins_flat = (offsets + self._edge_variable[None, :]).ravel()
-            self._bins_rows = rows
-        return self._bins_flat[:rows * self.n_edges]
-
-    def _fast_segment_sums(self, xp, values):
-        """Per-check segment sums (``reduceat`` or cumulative-sum fallback)."""
-        if self.backend.supports_reduceat:
-            return np.add.reduceat(values, self._segment_starts, axis=1)
-        sums = xp.cumsum(values, axis=1)
-        totals = sums[:, self._segment_ends]
-        has_prefix = self._segment_starts > 0
-        prefix = xp.where(
-            xp.asarray(has_prefix)[None, :],
-            sums[:, xp.asarray(np.maximum(self._segment_starts - 1, 0))],
-            xp.zeros(1, dtype=values.dtype))
-        return totals - prefix
-
-    def _get_fast_buffers(self, rows: int):
-        """Preallocated work arrays covering up to ``rows`` batch rows."""
-        if self._fast_buffers is None or rows > self._fast_rows:
-            xp = self.backend.xp
-            dt = self.dtype
-            shape_e = (rows, self.n_edges)
-            self._fast_buffers = {
-                "msg": xp.zeros(shape_e, dtype=dt),
-                "work_a": xp.empty(shape_e, dtype=dt),
-                "work_b": xp.empty(shape_e, dtype=dt),
-                "sign": xp.empty(shape_e, dtype=dt),
-                "llrs": xp.empty((rows, self.n_variables), dtype=dt),
-                "post": xp.empty((rows, self.n_variables), dtype=dt),
-            }
-            self._fast_rows = rows
-        return self._fast_buffers
-
-    # ------------------------------------------------------------------
-    # tuned NumPy tile kernel: edge-major layout, sparse segment matmuls
-    # ------------------------------------------------------------------
-    def _get_tuned_buffers(self, width: int):
-        """Preallocated edge-major work arrays for up to ``width`` columns."""
-        if self._tuned_buffers is None or width > self._tuned_width:
-            dt = self.dtype
-            shape_e = (self.n_edges, width)
-            shape_v = (self.n_variables, width)
-            self._tuned_buffers = {
-                "msg": np.zeros(shape_e, dtype=dt),
-                "v": np.empty(shape_e, dtype=dt),
-                "logm": np.empty(shape_e, dtype=dt),
-                "negf": np.empty(shape_e, dtype=dt),
-                "negb": np.empty(shape_e, dtype=bool),
-                "llrs": np.empty(shape_v, dtype=dt),
-                "post": np.empty(shape_v, dtype=dt),
-            }
-            self._tuned_width = width
-        return self._tuned_buffers
-
-    def _decode_tile_tuned(self, channel_llrs: np.ndarray
-                           ) -> BatchDecodeResult:
-        """Fused NumPy kernel for one batch tile (float32 fast path).
-
-        The tile is processed *edge-major*: messages are ``(n_edges, B)``
-        and posteriors ``(n_vars, B)``, so the per-check segment sums
-        become two cached-CSR sparse matmuls and the scatter back onto the
-        edges is one contiguous ``np.repeat``.  The exclusive sign is
-        computed on the small ``(n_checks, B)`` negative-count array via a
-        floor-based parity (``c - 2*floor(c/2)``) — float ``mod`` is an
-        order of magnitude slower than the whole remaining update.  All
-        per-edge ufuncs write into preallocated buffers.  Early-terminated
-        columns are frozen (outputs snapshotted when their syndrome
-        clears) rather than compacted, keeping every buffer contiguous.
-        """
+    def _decode_tile(self, channel_llrs: np.ndarray) -> BatchDecodeResult:
+        """The kernel: decode one tile of (clipped) channel LLR rows."""
         dt = self.dtype
         rows = channel_llrs.shape[0]
-        finfo = np.finfo(dt)
-        tiny = dt.type(finfo.tiny)
-        max_magnitude = dt.type(min(1.0 - 1e-15,
-                                    float(np.nextafter(dt.type(1.0),
-                                                       dt.type(0.0)))))
-        log_max = dt.type(np.log(np.float64(max_magnitude)))
+        zero, one, two = dt.type(0.0), dt.type(1.0), dt.type(2.0)
         clip = dt.type(LLR_CLIP)
-        one = dt.type(1.0)
-
-        buffers = self._get_tuned_buffers(rows)
-        msg = buffers["msg"][:, :rows]
-        v = buffers["v"][:, :rows]
-        logm = buffers["logm"][:, :rows]
-        negf = buffers["negf"][:, :rows]
-        negb = buffers["negb"][:, :rows]
-        llrs = buffers["llrs"][:, :rows]
-        post = buffers["post"][:, :rows]
+        floor = dt.type(max(_TANH_FLOOR, float(np.finfo(dt).tiny)))
+        max_magnitude = dt.type(min(1.0 - 1e-15,
+                                    float(np.nextafter(one, zero))))
+        msg, v, work, negative, llrs, post = self._work_arrays(rows)
         llrs[...] = channel_llrs.T
         msg[...] = 0
         post[...] = llrs
 
-        var_scatter = self._variable_scatter_matrix()
-        check_scatter = self._check_scatter_matrix()
-        edge_var = self._edge_variable
-        degrees = self._check_degrees
-
+        edge_variable = self._edge_variable
+        edge_segment = self._edge_segment
         posterior_out = np.empty((rows, self.n_variables), dtype=dt)
         iterations_out = np.zeros(rows, dtype=int)
         converged_out = np.zeros(rows, dtype=bool)
@@ -568,42 +255,44 @@ class BeliefPropagationDecoder:
         for iteration in range(1, self.max_iterations + 1):
             iterations_out[~done] = iteration
             # ---- variable-node update ---------------------------------
-            np.take(post, edge_var, axis=0, out=v)
+            np.take(post, edge_variable, axis=0, out=v, mode="clip")
             np.subtract(v, msg, out=v)
             np.clip(v, -clip, clip, out=v)
             # ---- check-node update (sign / log-magnitude) -------------
-            np.less(v, dt.type(0.0), out=negb)
-            np.multiply(negb, one, out=negf)
-            np.abs(v, out=v)
             np.multiply(v, dt.type(0.5), out=v)
             np.tanh(v, out=v)
-            np.clip(v, tiny, max_magnitude, out=v)
-            np.log(v, out=logm)
-            log_sums = check_scatter.dot(logm)       # (n_checks, B)
-            counts = check_scatter.dot(negf)         # (n_checks, B)
-            # Total sign per check: 1 - 2 * parity(counts), via floor.
+            np.less(v, zero, out=negative)
+            np.abs(v, out=v)
+            np.maximum(v, floor, out=v)
+            np.log(v, out=work)
+            log_sums = self._check_tail_sums.dot(work)   # (n_checks, B)
+            log_sums += work[self._first_edges]
+            # Exclusive magnitude: 2 * arctanh(exp(min(total - own, 0))).
+            np.take(log_sums, edge_segment, axis=0, out=v, mode="clip")
+            np.subtract(v, work, out=v)
+            np.minimum(v, zero, out=v)
+            np.exp(v, out=v)
+            np.minimum(v, max_magnitude, out=v)
+            np.arctanh(v, out=v)
+            np.multiply(v, two, out=v)
+            np.minimum(v, clip, out=v)
+            # Exclusive sign: the check's sign 1 - 2 * parity(count), via
+            # floor (float ``mod`` is far slower), times the edge's own.
+            counts = self._check_sums.dot(negative)      # (n_checks, B)
             half = np.multiply(counts, dt.type(0.5))
             np.floor(half, out=half)
-            np.multiply(half, dt.type(2.0), out=half)
-            np.subtract(counts, half, out=counts)
-            np.multiply(counts, dt.type(-2.0), out=counts)
+            np.multiply(half, -two, out=half)
+            np.add(counts, half, out=counts)
+            np.multiply(counts, -two, out=counts)
             np.add(counts, one, out=counts)
-            # Exclusive log-magnitude and sign per edge.
-            excl = np.repeat(log_sums, degrees, axis=0)
-            np.subtract(excl, logm, out=excl)
-            np.clip(excl, None, log_max, out=excl)
-            np.exp(excl, out=excl)
-            np.arctanh(excl, out=excl)
-            np.multiply(excl, dt.type(2.0), out=excl)
-            sign = np.repeat(counts, degrees, axis=0)
-            np.multiply(negf, dt.type(-2.0), out=negf)
-            np.add(negf, one, out=negf)              # own sign in {-1, +1}
-            np.multiply(sign, negf, out=sign)        # exclusive sign
-            np.multiply(excl, sign, out=msg)
+            np.take(counts, edge_segment, axis=0, out=work, mode="clip")
+            np.multiply(negative, -two, out=negative)
+            np.add(negative, one, out=negative)
+            np.multiply(work, negative, out=work)
+            np.multiply(v, work, out=msg)
             # ---- posterior and per-column stopping rule ----------------
-            sums = var_scatter.dot(msg)              # (n_vars, B)
-            np.add(llrs, sums, out=post)
-            hard = (post < dt.type(0.0)).view(np.int8)
+            np.add(llrs, self._variable_sums.dot(msg), out=post)
+            hard = (post < zero).view(np.int8)
             syndromes = self.parity_check.dot(hard) % 2
             satisfied = ~np.any(syndromes, axis=0)
             finished = (satisfied | (iteration == self.max_iterations)) \
@@ -615,153 +304,8 @@ class BeliefPropagationDecoder:
                 done[cols] = True
                 if done.all():
                     break
-        hard_out = (posterior_out < 0.0).astype(np.int8)
-        return BatchDecodeResult(hard_decisions=hard_out,
-                                 posterior_llrs=posterior_out.astype(float),
-                                 converged=converged_out,
-                                 iterations=iterations_out)
-
-    def _decode_tile_generic(self, channel_llrs: np.ndarray
-                             ) -> BatchDecodeResult:
-        xp = self.backend.xp
-        dt = self.dtype
-        inplace = self.backend.supports_out
-        rows = channel_llrs.shape[0]
-        n_vars = self.n_variables
-
-        finfo = np.finfo(dt)
-        tiny = dt.type(finfo.tiny)
-        # Largest representable magnitude strictly below 1: arctanh stays
-        # finite, saturating messages at ~17.3 (float32) / ~LLR_CLIP
-        # (float64, where 1 - 1e-15 is representable).
-        max_magnitude = dt.type(min(1.0 - 1e-15,
-                                    float(np.nextafter(dt.type(1.0),
-                                                       dt.type(0.0)))))
-        clip = dt.type(LLR_CLIP)
-
-        buffers = self._get_fast_buffers(rows)
-        msg = buffers["msg"][:rows]
-        work_a = buffers["work_a"][:rows]
-        work_b = buffers["work_b"][:rows]
-        sign = buffers["sign"][:rows]
-        llrs = buffers["llrs"][:rows]
-        post = buffers["post"][:rows]
-
-        host_llrs = np.ascontiguousarray(channel_llrs, dtype=dt)
-        if inplace:
-            llrs[...] = self.backend.from_numpy(host_llrs)
-            msg[...] = 0
-        else:
-            llrs = self.backend.from_numpy(host_llrs)
-            msg = xp.zeros((rows, self.n_edges), dtype=dt)
-
-        posterior_out = host_llrs.copy()
-        iterations_out = np.zeros(rows, dtype=int)
-        converged_out = np.zeros(rows, dtype=bool)
-
-        edge_var = (self._edge_variable if self.backend.is_numpy
-                    else self.backend.from_numpy(self._edge_variable))
-        edge_segment = (self._edge_segment if self.backend.is_numpy
-                        else self.backend.from_numpy(self._edge_segment))
-
-        active = np.arange(rows)
-        n_active = rows
-        sums = xp.zeros((n_active, n_vars), dtype=dt)
-        for iteration in range(1, self.max_iterations + 1):
-            iterations_out[active] = iteration
-            a = work_a[:n_active]
-            b = work_b[:n_active]
-            s = sign[:n_active]
-            m = msg[:n_active]
-            ll = llrs[:n_active]
-            p = post[:n_active]
-            # ---- variable-node update (fused, in-place) ---------------
-            p = _apply(xp.add, ll, sums, out=p if inplace else None)
-            a = _apply(xp.take, p, edge_var, 1,
-                       out=a if inplace else None)
-            a = _apply(xp.subtract, a, m, out=a if inplace else None)
-            a = _apply(xp.clip, a, -clip, clip, out=a if inplace else None)
-            # ---- check-node update (sign / log-magnitude) -------------
-            a = _apply(xp.multiply, a, dt.type(0.5),
-                       out=a if inplace else None)
-            a = _apply(xp.tanh, a, out=a if inplace else None)
-            negative = xp.less(a, dt.type(0.0))
-            neg_f = _apply(xp.multiply, negative, dt.type(1.0),
-                           out=s if inplace else None)
-            a = _apply(xp.abs, a, out=a if inplace else None)
-            a = _apply(xp.maximum, a, tiny, out=a if inplace else None)
-            a = _apply(xp.log, a, out=a if inplace else None)
-            neg_counts = self._fast_segment_sums(xp, neg_f)
-            log_sums = self._fast_segment_sums(xp, a)
-            b = _apply(xp.take, log_sums, edge_segment, 1,
-                       out=b if inplace else None)
-            b = _apply(xp.subtract, b, a, out=b if inplace else None)
-            # The log magnitudes in ``a`` are dead now; reuse the buffer
-            # for the exclusive negative counts (``s`` still holds the
-            # per-edge negativity flags they are reduced against).
-            excl_neg = _apply(xp.take, neg_counts, edge_segment, 1,
-                              out=a if inplace else None)
-            excl_neg = _apply(xp.subtract, excl_neg, neg_f,
-                              out=a if inplace else None)
-            # Exclusive parity -> sign in {-1, +1}: 1 - 2 * (count mod 2),
-            # with the parity via floor (float ``mod`` is pathologically
-            # slow).  ``s`` (the negativity flags) is dead here and serves
-            # as the scratch for the floored half-counts.
-            half = _apply(xp.multiply, excl_neg, dt.type(0.5),
-                          out=s if inplace else None)
-            half = _apply(xp.floor, half, out=s if inplace else None)
-            half = _apply(xp.multiply, half, dt.type(-2.0),
-                          out=s if inplace else None)
-            parity = _apply(xp.add, excl_neg, half,
-                            out=a if inplace else None)
-            parity = _apply(xp.multiply, parity, dt.type(-2.0),
-                            out=a if inplace else None)
-            excl_sign = _apply(xp.add, parity, dt.type(1.0),
-                               out=a if inplace else None)
-            # New check messages: 2 * arctanh(sign * exp(min(excl_log, 0))).
-            b = _apply(xp.minimum, b, dt.type(0.0),
-                       out=b if inplace else None)
-            b = _apply(xp.exp, b, out=b if inplace else None)
-            b = _apply(xp.clip, b, dt.type(0.0), max_magnitude,
-                       out=b if inplace else None)
-            b = _apply(xp.multiply, b, excl_sign,
-                       out=b if inplace else None)
-            b = _apply(xp.arctanh, b, out=b if inplace else None)
-            b = _apply(xp.multiply, b, dt.type(2.0),
-                       out=b if inplace else None)
-            m = _apply(xp.clip, b, -clip, clip, out=m if inplace else None)
-            if not inplace:
-                msg = m
-            # ---- posterior and per-codeword stopping rule --------------
-            sums = self._fast_variable_sums(xp, m, n_active)
-            posterior = _apply(xp.add, ll, sums, out=p if inplace else None)
-            posterior_np = self.backend.to_numpy(posterior)
-            hard = (posterior_np < 0.0).astype(np.int8)
-            syndromes = self.parity_check.dot(hard.T) % 2
-            satisfied = ~np.any(syndromes, axis=0)
-            finished = satisfied | (iteration == self.max_iterations)
-            if np.any(finished):
-                done_rows = active[finished]
-                posterior_out[done_rows] = posterior_np[finished]
-                converged_out[done_rows] = satisfied[finished]
-                keep = ~finished
-                active = active[keep]
-                if active.size == 0:
-                    break
-                keep_b = self.backend.from_numpy(np.flatnonzero(keep))
-                n_active = active.size
-                if inplace:
-                    # Compact surviving rows to the buffer fronts (fancy
-                    # indexing copies before assignment, so overlapping
-                    # source/destination rows are safe).
-                    llrs[:n_active] = llrs[:keep.size][keep_b]
-                    msg[:n_active] = msg[:keep.size][keep_b]
-                else:
-                    llrs = ll[keep_b]
-                    msg = m[keep_b]
-                sums = sums[keep_b]
-        hard_out = (posterior_out < 0.0).astype(np.int8)
-        return BatchDecodeResult(hard_decisions=hard_out,
-                                 posterior_llrs=posterior_out.astype(float),
-                                 converged=converged_out,
-                                 iterations=iterations_out)
+        return BatchDecodeResult(
+            hard_decisions=(posterior_out < 0.0).astype(np.int8),
+            posterior_llrs=posterior_out.astype(float, copy=False),
+            converged=converged_out,
+            iterations=iterations_out)

@@ -56,12 +56,12 @@ class _LiftedLdpcCode:
     """Shared machinery: parity-check matrix, encoder, full BP decoder."""
 
     def __init__(self, parity_check: sparse.csr_matrix,
-                 max_iterations: int = 50, backend=None, dtype=None) -> None:
+                 max_iterations: int = 50, dtype=None) -> None:
         self.parity_check = sparse.csr_matrix(parity_check).astype(np.int8)
         self.n = int(self.parity_check.shape[1])
         self._decoder = BeliefPropagationDecoder(self.parity_check,
                                                  max_iterations=max_iterations,
-                                                 backend=backend, dtype=dtype)
+                                                 dtype=dtype)
         self._rref: Optional[np.ndarray] = None
         self._pivot_columns: Optional[np.ndarray] = None
         self._info_columns: Optional[np.ndarray] = None
@@ -152,12 +152,12 @@ class LdpcBlockCode(_LiftedLdpcCode):
 
     def __init__(self, protograph: Protograph, lifting_factor: int,
                  rng: RngLike = 0, max_iterations: int = 50,
-                 backend=None, dtype=None) -> None:
+                 dtype=None) -> None:
         self.protograph = protograph
         self.lifting_factor = int(lifting_factor)
         parity_check = lift_protograph(protograph, lifting_factor, rng=rng)
         super().__init__(parity_check, max_iterations=max_iterations,
-                         backend=backend, dtype=dtype)
+                         dtype=dtype)
 
     @property
     def design_rate(self) -> float:
@@ -183,14 +183,14 @@ class LdpcConvolutionalCode(_LiftedLdpcCode):
 
     def __init__(self, spreading: EdgeSpreading, lifting_factor: int,
                  termination_length: int, rng: RngLike = 0,
-                 max_iterations: int = 50, backend=None, dtype=None) -> None:
+                 max_iterations: int = 50, dtype=None) -> None:
         self.spreading = spreading
         self.lifting_factor = int(lifting_factor)
         self.termination_length = int(termination_length)
         self.coupled = coupled_protograph(spreading, termination_length)
         parity_check = lift_protograph(self.coupled, lifting_factor, rng=rng)
         super().__init__(parity_check, max_iterations=max_iterations,
-                         backend=backend, dtype=dtype)
+                         dtype=dtype)
 
     @property
     def memory(self) -> int:

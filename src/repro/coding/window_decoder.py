@@ -96,15 +96,14 @@ class WindowDecoder:
         cross-checks).
     max_iterations:
         BP iteration limit per window position.
-    backend, dtype:
-        Array backend and message dtype forwarded to every per-window
-        :class:`~repro.coding.bp.BeliefPropagationDecoder` (see
-        :mod:`repro.backend`); the defaults preserve the bit-exact
-        NumPy/float64 reference path.
+    dtype:
+        Message dtype forwarded to every per-window
+        :class:`~repro.coding.bp.BeliefPropagationDecoder`; the float64
+        default is the bit-exact reference.
     """
 
     def __init__(self, code: LdpcConvolutionalCode, window_size: int,
-                 max_iterations: int = 50, backend=None, dtype=None) -> None:
+                 max_iterations: int = 50, dtype=None) -> None:
         if window_size < code.memory + 1:
             raise ValueError(
                 "window size must be at least the coupling memory + 1")
@@ -114,7 +113,6 @@ class WindowDecoder:
         self.code = code
         self.window_size = int(window_size)
         self.max_iterations = int(max_iterations)
-        self.backend = backend
         self.dtype = dtype
         self._decoder_cache: Dict[Tuple[int, int, int], Tuple[BeliefPropagationDecoder, np.ndarray, np.ndarray]] = {}
 
@@ -147,51 +145,18 @@ class WindowDecoder:
             sub_matrix = code.parity_check[rows][:, columns]
             decoder = BeliefPropagationDecoder(sub_matrix,
                                                max_iterations=self.max_iterations,
-                                               backend=self.backend,
                                                dtype=self.dtype)
             self._decoder_cache[cache_key] = (decoder, columns, rows)
         return self._decoder_cache[cache_key]
 
     # ------------------------------------------------------------------
     def decode(self, channel_llrs: np.ndarray) -> WindowDecodeResult:
-        """Decode a full received coupled codeword block by block."""
-        code = self.code
-        channel_llrs = np.asarray(channel_llrs, dtype=float).reshape(-1)
-        if channel_llrs.size != code.n:
-            raise ValueError(f"expected {code.n} channel LLRs, "
-                             f"got {channel_llrs.size}")
-        decisions = np.zeros(code.n, dtype=np.int8)
-        # Posterior LLRs of already-decoded blocks; passing these (rather
-        # than hard, saturated decisions) into later windows limits error
-        # propagation when an earlier window left residual errors.
-        decided_llrs = channel_llrs.copy()
-        decided = np.zeros(code.termination_length, dtype=bool)
-        converged = np.zeros(code.termination_length, dtype=bool)
-        iterations = np.zeros(code.termination_length, dtype=int)
-        for target_block in range(code.termination_length):
-            decoder, columns, _ = self._window_decoder(target_block)
-            window_llrs = channel_llrs[columns].copy()
-            first_vb = columns[0] // code.block_length
-            # Inject the knowledge gathered about already-decided blocks.
-            for block in range(first_vb, target_block):
-                if not decided[block]:
-                    continue
-                start, stop = code.variable_range_of_block(block)
-                local = slice(start - columns[0], stop - columns[0])
-                window_llrs[local] = decided_llrs[start:stop]
-            result = decoder.decode(window_llrs)
-            start, stop = code.variable_range_of_block(target_block)
-            local = slice(start - columns[0], stop - columns[0])
-            decisions[start:stop] = result.hard_decisions[local]
-            decided_llrs[start:stop] = np.clip(result.posterior_llrs[local],
-                                               -LLR_CLIP, LLR_CLIP)
-            decided[target_block] = True
-            converged[target_block] = result.converged
-            iterations[target_block] = result.iterations
-        return WindowDecodeResult(hard_decisions=decisions,
-                                  block_converged=converged,
-                                  iterations_per_block=iterations,
-                                  structural_latency_bits=self._structural_latency())
+        """Decode a full received coupled codeword block by block.
+
+        The result equals ``decode_batch(channel_llrs[None])[0]``.
+        """
+        channel_llrs = np.asarray(channel_llrs, dtype=float).reshape(1, -1)
+        return self.decode_batch(channel_llrs)[0]
 
     def decode_bits(self, channel_llrs: np.ndarray) -> np.ndarray:
         """Convenience wrapper returning only the hard decisions."""
@@ -213,8 +178,7 @@ class WindowDecoder:
         position runs one batched BP decode
         (:meth:`~repro.coding.bp.BeliefPropagationDecoder.decode_batch`)
         across the batch, so the per-iteration numpy work grows with ``B``
-        while the Python overhead stays that of a single codeword.  The
-        decisions are bit-exact against row-by-row :meth:`decode`.
+        while the Python overhead stays that of a single codeword.
         """
         code = self.code
         channel_llrs = np.asarray(channel_llrs, dtype=float)
@@ -232,14 +196,12 @@ class WindowDecoder:
         iterations = np.zeros((batch_size, code.termination_length), dtype=int)
         for target_block in range(code.termination_length):
             decoder, columns, _ = self._window_decoder(target_block)
-            window_llrs = channel_llrs[:, columns].copy()
-            first_vb = columns[0] // code.block_length
-            # Inject the knowledge gathered about already-decided blocks.
-            for block in range(first_vb, target_block):
-                start, stop = code.variable_range_of_block(block)
-                local = slice(start - columns[0], stop - columns[0])
-                window_llrs[:, local] = decided_llrs[:, start:stop]
-            result = decoder.decode_batch(window_llrs)
+            # Blocks before the target are decided: they enter the window
+            # with their posterior LLRs (rather than hard, saturated
+            # decisions), which limits error propagation when an earlier
+            # window left residual errors.  Later blocks still hold their
+            # channel LLRs.
+            result = decoder.decode_batch(decided_llrs[:, columns])
             start, stop = code.variable_range_of_block(target_block)
             local = slice(start - columns[0], stop - columns[0])
             decisions[:, start:stop] = result.hard_decisions[:, local]

@@ -16,8 +16,7 @@ Modules:
 * :mod:`repro.noc.analytic` — the queueing-theory latency/throughput model
   used for Fig. 8.
 * :mod:`repro.noc.simulator` — the vectorized cycle-level flit simulator
-  (finite buffers with backpressure, lossy links with retransmission)
-  plus the deque reference implementation it is validated against.
+  (finite buffers with backpressure, lossy links with retransmission).
 * :mod:`repro.noc.model` — the unified :class:`~repro.noc.model.NocModel`
   protocol both engines implement.
 * :mod:`repro.noc.metrics` — hop counts, bisection bandwidth, saturation
@@ -46,11 +45,7 @@ from repro.noc.traffic import (
     make_traffic_class,
 )
 from repro.noc.analytic import AnalyticNocModel, LatencyResult, RouterParameters
-from repro.noc.simulator import (
-    NocSimulator,
-    ReferenceNocSimulator,
-    SimulationResult,
-)
+from repro.noc.simulator import NocSimulator, SimulationResult
 from repro.noc.model import NocEvaluation, NocModel, SimulatedNocModel
 from repro.noc.metrics import (
     average_hop_count,
@@ -78,7 +73,6 @@ __all__ = [
     "NocEvaluation",
     "SimulatedNocModel",
     "NocSimulator",
-    "ReferenceNocSimulator",
     "SimulationResult",
     "TRAFFIC_PATTERNS",
     "ROUTING_ALGORITHMS",

@@ -1,24 +1,20 @@
-"""Cycle-level flit simulators for the NoC topologies.
+"""Vectorized cycle-level flit simulator for the NoC topologies.
 
-Two implementations of the same discrete-time model live here:
+:class:`NocSimulator` is *vectorized*: all injection randomness (Poisson
+arrivals, destination draws) is generated up front as NumPy batches,
+every channel is a slot in one flat ring buffer, and each cycle is a
+fixed handful of array operations over all channels at once instead of a
+Python loop over queues and packets.  On the paper's 64-module topologies
+it is an order of magnitude faster than the original deque-of-queues
+engine, which the test suite keeps as its behavioural oracle (same
+topology and comparable seeds give statistically indistinguishable
+delivered counts and latencies; benchmarked in
+``benchmarks/test_bench_fig8_vectorized_sim.py``).
 
-* :class:`NocSimulator` — the production engine.  It is *vectorized*: all
-  injection randomness (Poisson arrivals, destination draws) is generated
-  up front as NumPy batches, every channel is a slot in one flat ring
-  buffer, and each cycle is a fixed handful of array operations over all
-  channels at once instead of a Python loop over queues and packets.  On
-  the paper's 64-module topologies it is an order of magnitude faster
-  than the reference below (benchmarked in
-  ``benchmarks/test_bench_fig8_vectorized_sim.py``).
-* :class:`ReferenceNocSimulator` — the original deque-of-queues
-  implementation, kept as the behavioural baseline the vectorized engine
-  is validated against (same topology and comparable seeds give
-  statistically indistinguishable delivered counts and latencies).
-
-Shared model: output-queued routers, single-flit packets, per-module
-Poisson injection, one flit per channel per cycle, a fixed pipeline delay
-per traversed router and an optional per-channel wire delay
-(``link_latency_cycles``).  The vectorized engine additionally supports
+Model: output-queued routers, single-flit packets, per-module Poisson
+injection, one flit per channel per cycle, a fixed pipeline delay per
+traversed router and an optional per-channel wire delay
+(``link_latency_cycles``).  On top of that the engine supports
 
 * pluggable routing (:class:`~repro.noc.routing.DimensionOrderedRouting`
   or :class:`~repro.noc.routing.ShortestPathRouting`) and all traffic
@@ -50,13 +46,11 @@ nothing was offered (``injection_rate=0``).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.backend import resolve_backend
 from repro.noc.routing import DimensionOrderedRouting
 from repro.noc.topology import GridTopology
 from repro.noc.traffic import UniformTraffic, _TrafficPattern
@@ -147,8 +141,7 @@ class NocSimulator:
         knob, now honored by the cycle simulator as well).
     buffer_depth_flits:
         Finite per-channel buffer depth enabling backpressure; ``None``
-        (or 0) models infinite buffers, matching the reference simulator
-        and the analytic model.
+        (or 0) models infinite buffers, matching the analytic model.
     link_error_rate:
         Per-traversal flit error probability on every router-to-router
         link; failed traversals are retransmitted (see module docstring).
@@ -161,7 +154,6 @@ class NocSimulator:
                  link_latency_cycles: int = 0,
                  buffer_depth_flits: Optional[int] = None,
                  link_error_rate: float = 0.0,
-                 backend=None,
                  **traffic_kwargs) -> None:
         if pipeline_latency_cycles < 0:
             raise ValueError("pipeline_latency_cycles must be non-negative")
@@ -180,7 +172,6 @@ class NocSimulator:
         self.buffer_depth_flits = (int(buffer_depth_flits)
                                    if buffer_depth_flits else None)
         self.link_error_rate = float(link_error_rate)
-        self.backend = resolve_backend(backend)
         self.traffic_class = traffic_class
         self.traffic_kwargs = traffic_kwargs
         self._tables = self._build_tables()
@@ -343,13 +334,7 @@ class NocSimulator:
 
     def _run_merged(self, injection_rate: float, n_cycles: int,
                     warmup_cycles: int, generators) -> List[SimulationResult]:
-        """The cycle engine over ``len(generators)`` merged replications.
-
-        Array work runs through the :mod:`repro.backend` seam (``xp`` is
-        plain NumPy by default); injection randomness and result statistics
-        stay on the host.
-        """
-        xp = self.backend.xp
+        """The cycle engine over ``len(generators)`` merged replications."""
         n_reps = len(generators)
         topology = self.topology
         n_modules = topology.n_modules
@@ -400,22 +385,22 @@ class NocSimulator:
         # replications; grown by doubling whenever any queue would
         # overflow its slice.
         capacity = 16
-        buf = xp.zeros(total_queues * capacity, dtype=np.int64)
-        base = xp.arange(total_queues, dtype=np.int64) * capacity
-        head = xp.zeros(total_queues, dtype=np.int64)
-        count = xp.zeros(total_queues, dtype=np.int64)
+        buf = np.zeros(total_queues * capacity, dtype=np.int64)
+        base = np.arange(total_queues, dtype=np.int64) * capacity
+        head = np.zeros(total_queues, dtype=np.int64)
+        count = np.zeros(total_queues, dtype=np.int64)
 
         def grow() -> None:
             nonlocal buf, capacity, base
             old = buf.reshape(total_queues, capacity)
             positions = (head[:, None]
-                         + xp.arange(capacity)[None, :]) & (capacity - 1)
+                         + np.arange(capacity)[None, :]) & (capacity - 1)
             capacity *= 2
-            buf = xp.zeros(total_queues * capacity, dtype=np.int64)
+            buf = np.zeros(total_queues * capacity, dtype=np.int64)
             buf.reshape(total_queues, capacity)[:, :capacity // 2] = \
-                old[xp.arange(total_queues)[:, None], positions]
+                old[np.arange(total_queues)[:, None], positions]
             head[:] = 0
-            base = xp.arange(total_queues, dtype=np.int64) * capacity
+            base = np.arange(total_queues, dtype=np.int64) * capacity
 
         def push(queues: np.ndarray, packets: np.ndarray) -> None:
             # Grouped tail insert: stable order by queue keeps the within-
@@ -423,10 +408,10 @@ class NocSimulator:
             # injections, channel-ascending for forwards; replication
             # queue id ranges are disjoint, so merged pushes preserve each
             # replication's solo order).
-            order = xp.argsort(queues, kind="stable")
+            order = np.argsort(queues, kind="stable")
             sorted_q = queues[order]
-            rank = (xp.arange(sorted_q.size)
-                    - xp.searchsorted(sorted_q, sorted_q))
+            rank = (np.arange(sorted_q.size)
+                    - np.searchsorted(sorted_q, sorted_q))
             while int((count[sorted_q] + rank).max()) >= capacity:
                 grow()
             slots = base[sorted_q] + ((head[sorted_q] + count[sorted_q]
@@ -552,172 +537,6 @@ class NocSimulator:
         points = [{"injection_rate": float(rate)}
                   for rate in injection_rates]
         return engine.sweep_values(worker, points, rng=rng)
-
-
-class ReferenceNocSimulator:
-    """Deque-of-queues reference implementation (behavioural baseline).
-
-    The pre-vectorization engine: output-queued routers with per-cycle
-    Python loops over channels and packets.  Kept (and tested) as the
-    ground truth the vectorized :class:`NocSimulator` is compared
-    against; it supports uniform-style traffic patterns and infinite
-    buffers only.
-
-    Parameters
-    ----------
-    topology:
-        Any grid topology.
-    pipeline_latency_cycles:
-        Cycles a flit spends in every traversed router before it can
-        compete for an output channel.
-    link_latency_cycles:
-        Additional wire delay per router-to-router channel traversal.
-    traffic_class:
-        Pattern used to pick packet destinations (default uniform).
-    """
-
-    def __init__(self, topology: GridTopology,
-                 pipeline_latency_cycles: int = 2,
-                 traffic_class=UniformTraffic,
-                 link_latency_cycles: int = 0, **traffic_kwargs) -> None:
-        if pipeline_latency_cycles < 0:
-            raise ValueError("pipeline_latency_cycles must be non-negative")
-        if link_latency_cycles < 0:
-            raise ValueError("link_latency_cycles must be non-negative")
-        self.topology = topology
-        self.routing = DimensionOrderedRouting(topology)
-        self.pipeline_latency_cycles = int(pipeline_latency_cycles)
-        self.link_latency_cycles = int(link_latency_cycles)
-        self.traffic_class = traffic_class
-        self.traffic_kwargs = traffic_kwargs
-
-    def _destination_distribution(self, injection_rate: float) -> np.ndarray:
-        pattern: _TrafficPattern = self.traffic_class(
-            self.topology, injection_rate, **self.traffic_kwargs)
-        rates = pattern.rate_matrix()
-        row_sums = rates.sum(axis=1, keepdims=True)
-        if self.topology.n_modules > 1 and not (row_sums > 0.0).all():
-            # The reference engine draws Poisson arrivals at *every*
-            # module, so a pattern with silent modules (e.g. the
-            # transpose fixed point) has no destination distribution to
-            # sample from — fail clearly instead of letting
-            # generator.choice raise from numpy internals.
-            raise ValueError(
-                "ReferenceNocSimulator only supports traffic patterns in "
-                "which every module sends (uniform-style); use the "
-                "vectorized NocSimulator for other patterns")
-        with np.errstate(invalid="ignore", divide="ignore"):
-            probabilities = np.where(row_sums > 0.0, rates / row_sums, 0.0)
-        return probabilities
-
-    def run(self, injection_rate: float, n_cycles: int = 5_000,
-            warmup_cycles: int = 1_000, rng: RngLike = None
-            ) -> SimulationResult:
-        """Simulate the network at one injection rate.
-
-        Packets created during the warm-up period are routed but excluded
-        from the latency statistics.
-        """
-        check_non_negative("injection_rate", injection_rate)
-        check_positive("n_cycles", n_cycles)
-        if warmup_cycles < 0 or warmup_cycles >= n_cycles:
-            raise ValueError("warmup_cycles must lie in [0, n_cycles)")
-        generator = ensure_rng(rng)
-        topology = self.topology
-        destination_probs = self._destination_distribution(max(injection_rate,
-                                                               1e-9))
-
-        # Per-channel FIFO queues.  A queue entry is (ready_cycle, packet,
-        # remaining_router_path).
-        link_queues: Dict[Tuple[int, int], Deque] = {
-            link: deque() for link in topology.links()}
-        ejection_queues: Dict[int, Deque] = {
-            router: deque() for router in range(topology.n_routers)}
-
-        latencies: List[int] = []
-        offered_measured = 0
-        delivered_measured = 0
-
-        for cycle in range(n_cycles):
-            # --- injection ------------------------------------------------
-            if injection_rate > 0.0:
-                arrivals = generator.poisson(injection_rate,
-                                             size=topology.n_modules)
-                for module in np.nonzero(arrivals)[0]:
-                    for _ in range(int(arrivals[module])):
-                        destination = int(generator.choice(
-                            topology.n_modules, p=destination_probs[module]))
-                        packet = _Packet(module, destination, cycle,
-                                         measured=cycle >= warmup_cycles)
-                        if packet.measured:
-                            offered_measured += 1
-                        source_router = topology.router_of_module(module)
-                        destination_router = topology.router_of_module(destination)
-                        path = self.routing.router_path(source_router,
-                                                        destination_router)
-                        ready = cycle + self.pipeline_latency_cycles
-                        self._enqueue(link_queues, ejection_queues, packet,
-                                      path, ready)
-
-            # --- channel service (one flit per channel per cycle) ---------
-            # A forwarded flit becomes available at the next router no
-            # earlier than the next cycle: a link traversal takes one
-            # cycle even when the router pipeline is configured as
-            # zero-latency.  (Without the max() a zero-pipeline flit would
-            # arrive "ready" in a queue the dict iteration has not reached
-            # yet and hop across several links within one cycle.)  Each
-            # traversal additionally pays the per-channel wire delay.
-            forward_delay = (max(self.pipeline_latency_cycles, 1)
-                             + self.link_latency_cycles)
-            for link, queue in link_queues.items():
-                if queue and queue[0][0] <= cycle:
-                    ready, packet, remaining_path = queue.popleft()
-                    arrival = cycle + forward_delay
-                    self._enqueue(link_queues, ejection_queues, packet,
-                                  remaining_path, arrival)
-            for router, queue in ejection_queues.items():
-                if queue and queue[0][0] <= cycle:
-                    ready, packet, _ = queue.popleft()
-                    if packet.measured:
-                        delivered_measured += 1
-                        latencies.append(cycle - packet.creation_cycle + 1)
-
-        measured_cycles = n_cycles - warmup_cycles
-        return _finish(injection_rate, float(sum(latencies)),
-                       delivered_measured, offered_measured, measured_cycles,
-                       topology.n_modules)
-
-    @staticmethod
-    def _enqueue(link_queues: Dict[Tuple[int, int], Deque],
-                 ejection_queues: Dict[int, Deque], packet: "_Packet",
-                 router_path: List[int], ready_cycle: int) -> None:
-        """Place a packet in the queue of its next channel."""
-        if len(router_path) <= 1:
-            ejection_queues[router_path[0]].append((ready_cycle, packet, None))
-            return
-        link = (router_path[0], router_path[1])
-        link_queues[link].append((ready_cycle, packet, router_path[1:]))
-
-    def latency_sweep(self, injection_rates, n_cycles: int = 5_000,
-                      warmup_cycles: int = 1_000, rng: RngLike = None,
-                      engine=None) -> List[SimulationResult]:
-        """Run the reference simulator at several injection rates."""
-        from repro.core.engine import SweepEngine
-
-        if engine is None:
-            engine = SweepEngine()
-        worker = _LatencySweepWorker(self, int(n_cycles), int(warmup_cycles))
-        points = [{"injection_rate": float(rate)}
-                  for rate in injection_rates]
-        return engine.sweep_values(worker, points, rng=rng)
-
-
-@dataclass
-class _Packet:
-    source_module: int
-    destination_module: int
-    creation_cycle: int
-    measured: bool
 
 
 @dataclass(frozen=True)

@@ -155,11 +155,10 @@ class OneBitWaveformFrontend:
         Apply the i.i.d. channel adapter (XOR scrambling, see the module
         docstring).  Disable only for diagnostics on known-symmetric
         workloads.
-    backend, dtype:
-        Array backend and metric dtype forwarded to every cached
-        :class:`~repro.phy.trellis.TrellisKernel` (see
-        :mod:`repro.backend`); the defaults preserve the bit-exact
-        NumPy/float64 reference path.
+    dtype:
+        Metric dtype forwarded to every cached
+        :class:`~repro.phy.trellis.TrellisKernel`; the float64 default is
+        the bit-exact reference.
 
     The pre-start line state is the lowest constellation level (a known
     index-0 preamble), so the trellis recursions can start exactly from
@@ -173,7 +172,6 @@ class OneBitWaveformFrontend:
     rate: float = 0.5
     detector: str = "bcjr"
     scramble: bool = True
-    backend: object = None
     dtype: object = None
     _channels: Dict[float, Tuple[OversampledOneBitChannel, TrellisKernel]] = \
         field(default_factory=dict, repr=False, compare=False)
@@ -217,7 +215,7 @@ class OneBitWaveformFrontend:
                 pulse=self.pulse, constellation=self.constellation,
                 snr_db=self.snr_db(key))
             self._channels[key] = (channel, TrellisKernel(
-                channel, backend=self.backend, dtype=self.dtype))
+                channel, dtype=self.dtype))
         return self._channels[key]
 
     # The per-Eb/N0 channel cache holds precomputed transition tables;

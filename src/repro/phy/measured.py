@@ -85,7 +85,6 @@ class MeasuredChannelFrontend:
     base_pulse: Pulse = field(default_factory=sequence_optimized_pulse)
     constellation: AskConstellation = field(default_factory=AskConstellation)
     detector: str = "bcjr"
-    backend: object = None
     dtype: object = None
     window: str = "hann"
     symbol_rate_hz: float = 2.5e9
@@ -128,8 +127,7 @@ class MeasuredChannelFrontend:
         self.echoes: Tuple[Tuple[float, float], ...] = tuple(echoes)
         self._inner = OneBitWaveformFrontend(
             pulse=pulse, constellation=self.constellation,
-            rate=self.rate, detector=self.detector,
-            backend=self.backend, dtype=self.dtype)
+            rate=self.rate, detector=self.detector, dtype=self.dtype)
 
     # -- construction helpers ------------------------------------------
     @classmethod

@@ -13,10 +13,7 @@ Both detectors work on the sign blocks produced by
 return hard symbol-index decisions, so symbol-error-rate comparisons are a
 one-liner.  The trellis search runs through the vectorized
 :class:`repro.phy.trellis.TrellisKernel` (NumPy operations over the state
-dimension, batch-capable); the historical per-(state, input) Python loop
-survives as :func:`viterbi_loop_reference` /
-:meth:`ViterbiSequenceDetector.detect_reference`, the ground truth the
-vectorized kernel is benchmarked and regression-tested against.
+dimension, batch-capable).
 """
 
 from __future__ import annotations
@@ -28,51 +25,6 @@ import numpy as np
 
 from repro.phy.channel_model import OversampledOneBitChannel
 from repro.phy.trellis import TrellisKernel
-
-
-def viterbi_loop_reference(channel: OversampledOneBitChannel,
-                           log_obs: np.ndarray) -> np.ndarray:
-    """The pre-vectorization Viterbi search (per-(state, input) Python loop).
-
-    Takes observation log-probabilities of shape ``(n, n_states, order)``
-    and returns the ML symbol-index sequence.  Kept as the reference the
-    vectorized :meth:`TrellisKernel.viterbi` is tested and benchmarked
-    against (``benchmarks/test_bench_trellis_demod.py``).
-    """
-    n_symbols = log_obs.shape[0]
-    n_states = channel.n_states
-    order = channel.order
-    successors = np.array([
-        [channel.next_state(state, inp) for inp in range(order)]
-        for state in range(n_states)
-    ])
-    metrics = np.full(n_states, -np.inf)
-    metrics[0] = 0.0  # transmissions start from the all-zero state
-    backpointers = np.zeros((n_symbols, n_states), dtype=np.int32)
-    decisions = np.zeros((n_symbols, n_states), dtype=np.int32)
-    for k in range(n_symbols):
-        candidate = metrics[:, None] + log_obs[k]          # (state, input)
-        new_metrics = np.full(n_states, -np.inf)
-        new_back = np.zeros(n_states, dtype=np.int32)
-        new_decision = np.zeros(n_states, dtype=np.int32)
-        for state in range(n_states):
-            for inp in range(order):
-                succ = successors[state, inp]
-                if candidate[state, inp] > new_metrics[succ]:
-                    new_metrics[succ] = candidate[state, inp]
-                    new_back[succ] = state
-                    new_decision[succ] = inp
-        metrics = new_metrics
-        backpointers[k] = new_back
-        decisions[k] = new_decision
-    # Trace back from the best final state.
-    best_state = int(np.argmax(metrics))
-    detected = np.zeros(n_symbols, dtype=int)
-    state = best_state
-    for k in range(n_symbols - 1, -1, -1):
-        detected[k] = decisions[k, state]
-        state = backpointers[k, state]
-    return detected
 
 
 @dataclass
@@ -120,11 +72,6 @@ class ViterbiSequenceDetector:
         """
         log_obs = self.channel.log_observation_probabilities(signs)
         return self._kernel.viterbi(log_obs)
-
-    def detect_reference(self, signs: np.ndarray) -> np.ndarray:
-        """The historical Python-loop Viterbi search (single block only)."""
-        log_obs = self.channel.log_observation_probabilities(signs)
-        return viterbi_loop_reference(self.channel, log_obs)
 
     def symbol_error_rate(self, transmitted_indices: np.ndarray,
                           signs: np.ndarray,

@@ -16,45 +16,41 @@ One :class:`TrellisKernel` serves every trellis algorithm in the PHY:
 All methods take batched observation log-probabilities of shape
 ``(B, n, n_states, order)`` (``B`` codewords/sequences on the leading
 axis) and run a Python loop only over the ``n`` symbol periods; the state
-and batch dimensions are pure array operations behind the
-:mod:`repro.backend` seam.
+and batch dimensions are pure NumPy array operations.
 
 Broadcast recursions
 --------------------
-For the shift-register state encoding of
+The kernel requires the canonical shift-register state encoding of
 :class:`repro.phy.channel_model.OversampledOneBitChannel`
-(``next_state = input * order**(memory-1) + state // order``) the
-predecessor table has closed form: writing ``S_h = order**(memory-1)``,
-state ``s' = g*S_h + h`` has predecessors ``h*order + j`` and arriving
-input ``g``.  Both trellis sweeps therefore need *no* gathers at all —
-reshaping the metric vector to ``(B, S_h, order)`` and broadcasting over
-the new-input axis visits exactly the elements the historical
-fancy-indexed formulation gathered, in the same order, so results stay
-bit-identical while the per-step data movement disappears.  A
-non-canonical (but still shift-register) trellis falls back to the
-index-table path.
+(``next_state = input * order**(memory-1) + state // order``) and rejects
+any other trellis.  Its predecessor table has closed form: writing
+``S_h = order**(memory-1)``, state ``s' = g*S_h + h`` has predecessors
+``h*order + j`` and arriving input ``g``.  Both trellis sweeps therefore
+need *no* gathers at all — reshaping the metric vector to
+``(B, S_h, order)`` and broadcasting over the new-input axis visits
+exactly the elements the historical fancy-indexed formulation gathered,
+in the same order, so results stay bit-identical while the per-step data
+movement disappears.
 
-Array backend and dtype
------------------------
-``backend=``/``dtype=`` select the array namespace and precision
-(``REPRO_BACKEND`` environment variable and float64 by default).  The
-NumPy/float64 default is bit-identical to the pre-seam kernels; float32
-halves the memory traffic of the sweeps and is validated statistically.
-Work buffers are cached per instance and per shape, so repeated
-equal-sized calls (the sweep pattern) do not re-allocate; batches larger
-than ``tile_rows`` are processed in independent tiles.
+Dtype and buffers
+-----------------
+``dtype=`` selects the metric precision: the float64 default is
+bit-identical to the historical kernels, float32 halves the memory
+traffic of the sweeps and is validated statistically.  Work buffers are
+cached per instance and per shape, so repeated equal-sized calls (the
+sweep pattern) do not re-allocate; large batches are processed in
+independent cache-sized tiles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from scipy.special import logsumexp
 
-from repro.backend import resolve_backend, resolve_dtype
 from repro.phy.channel_model import OversampledOneBitChannel
+from repro.utils.validation import resolve_dtype
 
 
 @dataclass
@@ -65,72 +61,44 @@ class TrellisKernel:
     ----------
     channel:
         The finite-state channel whose trellis (state count, successor
-        structure, observation model) the kernel operates on.
-    backend:
-        Array backend — a name, an :class:`repro.backend.ArrayModule` or
-        ``None`` (``REPRO_BACKEND`` env var, default numpy).
+        structure, observation model) the kernel operates on; its
+        trellis must be the canonical shift register.
     dtype:
         Metric dtype: ``"float64"`` (bit-exact default) or ``"float32"``.
-    tile_rows:
-        Batch tile size; ``None`` picks a cache-sized tile per call.
     """
 
     channel: OversampledOneBitChannel
-    backend: object = None
     dtype: object = None
-    tile_rows: Optional[int] = None
     _pred_state: np.ndarray = field(init=False, repr=False)
     _pred_input: np.ndarray = field(init=False, repr=False)
-    _successors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.backend = resolve_backend(self.backend)
         self.dtype = resolve_dtype(self.dtype)
-        if self.tile_rows is not None and self.tile_rows < 1:
-            raise ValueError("tile_rows must be positive")
-        order = self.channel.order
-        memory = self.channel.memory
-        n_states = self.channel.n_states
         self._buffers = {}
-        self._successors = np.array(
-            [[self.channel.next_state(state, inp) for inp in range(order)]
-             for state in range(n_states)], dtype=np.int64)
-        if memory == 0:
+        order = self.channel.order
+        n_states = self.channel.n_states
+        if self.channel.memory == 0:
             self._pred_input = np.zeros(1, dtype=np.int64)
             self._pred_state = np.zeros((1, order), dtype=np.int64)
-            self._canonical = False
             return
-        # Predecessor tables inverted from the successor table itself, so
-        # the forward (predecessor-indexed) and backward (successor-
-        # indexed) recursions can never drift apart: sorting the flat
-        # (state, input) pairs by their successor groups each state's
-        # predecessors together (stable sort keeps them in ascending
-        # (state, input) order, matching the reference loop's tie-breaks).
-        flat = self._successors.reshape(-1)
-        counts = np.bincount(flat, minlength=n_states)
-        if not np.all(counts == order):
-            raise ValueError(
-                "channel trellis is not a shift register: every state "
-                f"needs exactly {order} predecessors, got {counts}")
-        pairs = np.argsort(flat, kind="stable").reshape(n_states, order)
-        self._pred_state = pairs // order
-        arriving = pairs % order
-        if not np.all(arriving == arriving[:, :1]):
-            raise ValueError(
-                "channel trellis is not a shift register: the arriving "
-                "input of a state must be unique")
-        # Input that *arrives in* each state (its most-recent symbol).
-        self._pred_input = arriving[:, 0].copy()
-        # Canonical shift-register layout: pred(g*S_h + h) = h*J + j with
-        # arriving input g.  When it holds (it does for every channel the
-        # repo builds) the sweeps run gather-free on reshaped views.
+        # Canonical shift register: next_state(s, g) = g*S_h + s // J, so
+        # state g*S_h + h has predecessors h*J + j (ascending, matching
+        # the reference loop's tie-breaks) and arriving input g.
         sub_states = n_states // order
         states = np.arange(n_states)
-        canon_pred = (states % sub_states)[:, None] * order \
+        successors = np.array(
+            [[self.channel.next_state(state, inp) for inp in range(order)]
+             for state in range(n_states)], dtype=np.int64)
+        canonical = np.arange(order)[None, :] * sub_states \
+            + (states // order)[:, None]
+        if not np.array_equal(successors, canonical):
+            raise ValueError(
+                "channel trellis is not the canonical shift register "
+                "next_state = input * order**(memory-1) + state // order")
+        self._pred_state = (states % sub_states)[:, None] * order \
             + np.arange(order)
-        canon_input = states // sub_states
-        self._canonical = (np.array_equal(self._pred_state, canon_pred)
-                           and np.array_equal(self._pred_input, canon_input))
+        # Input that *arrives in* each state (its most-recent symbol).
+        self._pred_input = states // sub_states
 
     # ------------------------------------------------------------------
     def _buffer(self, name: str, shape: tuple, dtype=None):
@@ -139,11 +107,11 @@ class TrellisKernel:
         key = (name, shape, np.dtype(dtype).name)
         buf = self._buffers.get(key)
         if buf is None:
-            buf = self.backend.xp.empty(shape, dtype=dtype)
+            buf = np.empty(shape, dtype=dtype)
             self._buffers[key] = buf
         return buf
 
-    def _default_tile_rows(self, n_symbols: int) -> int:
+    def _tile_size(self, n_symbols: int) -> int:
         # Bound the dominant (n, B, n_states, order) reordered-observation
         # buffer to a few MB per tile.
         per_row = max(1, n_symbols * self.channel.n_states
@@ -181,7 +149,7 @@ class TrellisKernel:
 
     def _tiled(self, log_obs: np.ndarray, tile_fn, initial: str):
         n_rows, n_symbols = log_obs.shape[:2]
-        tile = self.tile_rows or self._default_tile_rows(n_symbols)
+        tile = self._tile_size(n_symbols)
         if n_rows <= tile:
             return tile_fn(log_obs, initial)
         parts = [tile_fn(log_obs[start:start + tile], initial)
@@ -192,17 +160,13 @@ class TrellisKernel:
         """Observations as ``(n, B, order, S_h, order)`` — predecessor
         order without a gather: element ``[k, b, g, h, j]`` is the branch
         metric of predecessor ``h*J + j`` into state ``g*S_h + h``."""
-        xp = self.backend.xp
         n_rows, n_symbols, n_states, order = log_obs.shape
         sub_states = n_states // order
         view = log_obs.reshape(n_rows, n_symbols, sub_states, order, order)
         transposed = view.transpose(1, 0, 4, 2, 3)
-        if self.backend.is_numpy and self.backend.supports_out:
-            out = self._buffer(name, transposed.shape)
-            out[...] = transposed
-            return out
-        return xp.ascontiguousarray(self.backend.from_numpy(
-            np.ascontiguousarray(transposed)))
+        out = self._buffer(name, transposed.shape)
+        out[...] = transposed
+        return out
 
     # ------------------------------------------------------------------
     def viterbi(self, log_obs: np.ndarray,
@@ -224,42 +188,23 @@ class TrellisKernel:
         return detected[0] if squeeze else detected
 
     def _viterbi_tile(self, log_obs: np.ndarray, initial: str) -> np.ndarray:
-        xp = self.backend.xp
         n_rows, n_symbols, n_states, order = log_obs.shape
+        sub_states = n_states // order
         pred_state = self._pred_state
         pred_input = self._pred_input
         backpointers = self._buffer("vit_bp",
                                     (n_symbols, n_rows, n_states),
                                     dtype=np.int32)
         metrics = self._initial_metrics(n_rows, initial)
-        if self._canonical:
-            sub_states = n_states // order
-            obs_re = self._reordered_observations(log_obs, "vit_obs")
-            if not self.backend.is_numpy:
-                metrics = self.backend.from_numpy(metrics)
-            inplace = self.backend.is_numpy and self.backend.supports_out
-            candidate = (self._buffer("vit_cand",
-                                      (n_rows, order, sub_states, order))
-                         if inplace else None)
-            for k in range(n_symbols):
-                m_view = metrics.reshape(n_rows, 1, sub_states, order)
-                if inplace:
-                    np.add(m_view, obs_re[k], out=candidate)
-                else:
-                    candidate = m_view + obs_re[k]
-                backpointers[k] = self.backend.to_numpy(
-                    xp.argmax(candidate, axis=-1)
-                ).reshape(n_rows, n_states)
-                metrics = xp.max(candidate, axis=-1).reshape(
-                    n_rows, n_states)
-            metrics = self.backend.to_numpy(metrics)
-        else:
-            obs_pred = log_obs[:, :, pred_state, pred_input[:, None]]
-            for k in range(n_symbols):
-                candidate = metrics[:, pred_state]               # (B, S, J)
-                candidate += obs_pred[:, k]
-                backpointers[k] = candidate.argmax(axis=2)
-                metrics = candidate.max(axis=2)
+        obs_re = self._reordered_observations(log_obs, "vit_obs")
+        candidate = self._buffer("vit_cand",
+                                 (n_rows, order, sub_states, order))
+        for k in range(n_symbols):
+            m_view = metrics.reshape(n_rows, 1, sub_states, order)
+            np.add(m_view, obs_re[k], out=candidate)
+            backpointers[k] = np.argmax(candidate, axis=-1).reshape(
+                n_rows, n_states)
+            metrics = np.max(candidate, axis=-1).reshape(n_rows, n_states)
         rows = np.arange(n_rows)
         state = np.argmax(metrics, axis=1)
         detected = np.empty((n_rows, n_symbols), dtype=np.int64)
@@ -288,97 +233,40 @@ class TrellisKernel:
 
     def _posteriors_tile(self, log_obs: np.ndarray,
                          initial: str) -> np.ndarray:
-        if self._canonical:
-            return self._posteriors_tile_canonical(log_obs, initial)
-        return self._posteriors_tile_generic(log_obs, initial)
-
-    def _posteriors_tile_canonical(self, log_obs: np.ndarray,
-                                   initial: str) -> np.ndarray:
-        xp = self.backend.xp
         n_rows, n_symbols, n_states, order = log_obs.shape
         sub_states = n_states // order
-        inplace = self.backend.is_numpy and self.backend.supports_out
         # Forward pass (max-log alphas), one slice per symbol boundary.
         obs_re = self._reordered_observations(log_obs, "bcjr_obs")
-        init = self._initial_metrics(n_rows, initial)
-        if inplace:
-            alphas = self._buffer("bcjr_alphas",
-                                  (n_symbols + 1, n_rows, n_states))
-            alphas[0] = init
-            candidate = self._buffer("bcjr_cand",
-                                     (n_rows, order, sub_states, order))
-            for k in range(n_symbols):
-                m_view = alphas[k].reshape(n_rows, 1, sub_states, order)
-                np.add(m_view, obs_re[k], out=candidate)
-                np.max(candidate, axis=-1,
-                       out=alphas[k + 1].reshape(n_rows, order, sub_states))
-        else:
-            alphas = [self.backend.from_numpy(init)]
-            for k in range(n_symbols):
-                m_view = alphas[k].reshape(n_rows, 1, sub_states, order)
-                candidate = m_view + obs_re[k]
-                alphas.append(xp.max(candidate, axis=-1).reshape(
-                    n_rows, n_states))
+        alphas = self._buffer("bcjr_alphas", (n_symbols + 1, n_rows, n_states))
+        alphas[0] = self._initial_metrics(n_rows, initial)
+        candidate = self._buffer("bcjr_cand",
+                                 (n_rows, order, sub_states, order))
+        for k in range(n_symbols):
+            m_view = alphas[k].reshape(n_rows, 1, sub_states, order)
+            np.add(m_view, obs_re[k], out=candidate)
+            np.max(candidate, axis=-1,
+                   out=alphas[k + 1].reshape(n_rows, order, sub_states))
         # Backward pass and per-symbol combination in the same sweep.
         # ``combined[b, q*J + r, m] = log_obs[b, k, q*J + r, m] +
         # beta[b, m*S_h + q]`` — the successor gather is a reshaped,
         # broadcast view of beta.
         step_re = log_obs.reshape(n_rows, n_symbols, sub_states, order,
                                   order)
-        if not self.backend.is_numpy:
-            step_re = self.backend.from_numpy(
-                np.ascontiguousarray(step_re))
-        beta = xp.zeros((n_rows, n_states), dtype=self.dtype)
+        beta = np.zeros((n_rows, n_states), dtype=self.dtype)
         app = np.empty((n_rows, n_symbols, order), dtype=self.dtype)
-        if inplace:
-            combined = self._buffer("bcjr_comb",
-                                    (n_rows, sub_states, order, order))
-            scratch = self._buffer("bcjr_scratch",
-                                   (n_rows, sub_states, order, order))
+        combined = self._buffer("bcjr_comb",
+                                (n_rows, sub_states, order, order))
+        scratch = self._buffer("bcjr_scratch",
+                               (n_rows, sub_states, order, order))
         for k in range(n_symbols - 1, -1, -1):
             beta_view = beta.reshape(n_rows, order, sub_states) \
                 .transpose(0, 2, 1)[:, :, None, :]     # (B, S_h, 1, M)
             alpha_view = alphas[k].reshape(n_rows, sub_states, order, 1)
-            if inplace:
-                np.add(step_re[:, k], beta_view, out=combined)
-                np.add(alpha_view, combined, out=scratch)
-                app[:, k] = scratch.max(axis=(1, 2))
-                np.max(combined, axis=3,
-                       out=beta.reshape(n_rows, sub_states, order))
-            else:
-                combined = step_re[:, k] + beta_view
-                app[:, k] = self.backend.to_numpy(
-                    xp.max(alpha_view + combined, axis=(1, 2)))
-                beta = xp.max(combined, axis=3).reshape(n_rows, n_states)
-        app -= app.max(axis=-1, keepdims=True)
-        return app
-
-    def _posteriors_tile_generic(self, log_obs: np.ndarray,
-                                 initial: str) -> np.ndarray:
-        pred_state = self._pred_state
-        pred_input = self._pred_input
-        successors = self._successors
-        n_rows, n_symbols = log_obs.shape[:2]
-        n_states = self.channel.n_states
-        order = self.channel.order
-        # Forward pass (max-log alphas), one slice per symbol boundary;
-        # branch metrics pre-gathered into predecessor order like viterbi().
-        obs_pred = log_obs[:, :, pred_state, pred_input[:, None]]
-        alphas = np.empty((n_symbols + 1, n_rows, n_states),
-                          dtype=self.dtype)
-        alphas[0] = self._initial_metrics(n_rows, initial)
-        for k in range(n_symbols):
-            candidate = alphas[k][:, pred_state]
-            candidate += obs_pred[:, k]
-            alphas[k + 1] = candidate.max(axis=2)
-        # Backward pass and per-symbol combination in the same sweep.
-        beta = np.zeros((n_rows, n_states), dtype=self.dtype)
-        app = np.empty((n_rows, n_symbols, order), dtype=self.dtype)
-        for k in range(n_symbols - 1, -1, -1):
-            step = log_obs[:, k]                                  # (B, S, M)
-            combined = step + beta[:, successors]                 # (B, S, M)
-            app[:, k] = (alphas[k][:, :, None] + combined).max(axis=1)
-            beta = combined.max(axis=2)
+            np.add(step_re[:, k], beta_view, out=combined)
+            np.add(alpha_view, combined, out=scratch)
+            app[:, k] = scratch.max(axis=(1, 2))
+            np.max(combined, axis=3,
+                   out=beta.reshape(n_rows, sub_states, order))
         app -= app.max(axis=-1, keepdims=True)
         return app
 

@@ -148,14 +148,17 @@ class Scenario:
             given); ``None``/1 evaluates serially.
         engine:
             Optional shared :class:`SweepEngine`, e.g. to reuse its
-            store across scenarios.
+            store across scenarios.  It stays open; an engine the call
+            creates itself is closed (its worker processes released)
+            before the call returns.
         store:
             Optional :class:`repro.core.store.RunStore` for the engine
             (ignored when ``engine`` is given) — pass a
             :class:`~repro.core.store.DiskStore` so a warm re-run in a
             new process serves every point from disk.
         """
-        if engine is None:
+        owned = engine is None
+        if owned:
             engine = SweepEngine(n_workers=n_workers, store=store)
         started = time.perf_counter()
         try:
@@ -170,6 +173,9 @@ class Scenario:
             # Attribute the failure to this scenario (the engine only
             # knows params); keep the original worker exception chained.
             raise error.with_scenario(self.name) from error.__cause__
+        finally:
+            if owned:
+                engine.close()
         elapsed_s = time.perf_counter() - started
         points = tuple(
             {"params": to_plain(outcome.params),

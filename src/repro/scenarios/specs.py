@@ -28,7 +28,11 @@ from repro.utils.constants import (
     PAPER_RX_TEMPERATURE_K,
     PAPER_SIGNAL_BANDWIDTH_HZ,
 )
-from repro.utils.validation import check_non_negative, check_positive
+from repro.utils.validation import (
+    SUPPORTED_DTYPES,
+    check_non_negative,
+    check_positive,
+)
 
 
 class SpecBase:
@@ -207,12 +211,9 @@ class PhySpec(SpecBase):
     modulation_order: int = 4
     detector: str = "bcjr"
     frontend: str = "bpsk-awgn"
-    backend: str = "numpy"
     dtype: str = "float64"
 
     def __post_init__(self) -> None:
-        from repro.backend import KNOWN_BACKENDS, SUPPORTED_DTYPES
-
         _check_choice("pulse_design", self.pulse_design, self.PULSE_DESIGNS)
         check_positive("oversampling", self.oversampling)
         check_positive("n_symbols", self.n_symbols)
@@ -221,10 +222,9 @@ class PhySpec(SpecBase):
             raise ValueError("modulation_order must be a power of two >= 2")
         _check_choice("detector", self.detector, self.DETECTORS)
         _check_choice("frontend", self.frontend, self.FRONTENDS)
-        # Backend/dtype are spec fields (not runtime knobs) precisely so
-        # they participate in scenario cache keys: a float32 sweep can
-        # never alias a float64 cache entry.
-        _check_choice("backend", self.backend, KNOWN_BACKENDS)
+        # dtype is a spec field (not a runtime knob) precisely so it
+        # participates in scenario cache keys: a float32 sweep can never
+        # alias a float64 cache entry.
         _check_choice("dtype", self.dtype, SUPPORTED_DTYPES)
 
     def make_pulse(self):
@@ -278,13 +278,11 @@ class PhySpec(SpecBase):
                 dataset, distance_m=distance_m,
                 rate=float(rate), base_pulse=self.make_pulse(),
                 constellation=self.make_constellation(),
-                detector=self.detector,
-                backend=self.backend, dtype=self.dtype)
+                detector=self.detector, dtype=self.dtype)
         return OneBitWaveformFrontend(pulse=self.make_pulse(),
                                       constellation=self.make_constellation(),
                                       rate=float(rate),
                                       detector=self.detector,
-                                      backend=self.backend,
                                       dtype=self.dtype)
 
 
@@ -307,20 +305,16 @@ class CodingSpec(SpecBase):
     termination_length: int = 12
     max_iterations: int = 40
     construction_seed: int = 0
-    backend: str = "numpy"
     dtype: str = "float64"
 
     def __post_init__(self) -> None:
-        from repro.backend import KNOWN_BACKENDS, SUPPORTED_DTYPES
-
         _check_choice("family", self.family, self.FAMILIES)
         check_positive("lifting_factor", self.lifting_factor)
         check_positive("window_size", self.window_size)
         check_positive("termination_length", self.termination_length)
         check_positive("max_iterations", self.max_iterations)
-        # Spec fields (rather than runtime knobs) so they enter scenario
+        # A spec field (rather than a runtime knob) so it enters scenario
         # cache keys — float32 results never alias float64 entries.
-        _check_choice("backend", self.backend, KNOWN_BACKENDS)
         _check_choice("dtype", self.dtype, SUPPORTED_DTYPES)
 
     @property
@@ -341,11 +335,9 @@ class CodingSpec(SpecBase):
                                          self.lifting_factor,
                                          self.termination_length,
                                          rng=self.construction_seed,
-                                         backend=self.backend,
                                          dtype=self.dtype)
         return LdpcBlockCode(PAPER_BLOCK_PROTOGRAPH, self.lifting_factor,
-                             rng=self.construction_seed,
-                             backend=self.backend, dtype=self.dtype)
+                             rng=self.construction_seed, dtype=self.dtype)
 
     def make_ber_simulator(self, batch_size: int = 16, frontend=None):
         """Code + decoder + batched BER harness in one call.
@@ -361,7 +353,7 @@ class CodingSpec(SpecBase):
         if self.family == "ldpc-cc":
             decoder = WindowDecoder(code, window_size=self.window_size,
                                     max_iterations=self.max_iterations,
-                                    backend=self.backend, dtype=self.dtype)
+                                    dtype=self.dtype)
             return BerSimulator(code.n, self.design_rate, decoder.decode_bits,
                                 decode_batch=decoder.decode_bits_batch,
                                 batch_size=batch_size, frontend=frontend)
@@ -436,7 +428,6 @@ class NocSpec(SpecBase):
     link_error_rate: float = 0.0
     ebn0_db: Optional[float] = None
     link_error_method: str = "surrogate"
-    backend: str = "numpy"
 
     def __post_init__(self) -> None:
         # Traffic/routing names validate against the registries they
@@ -481,11 +472,6 @@ class NocSpec(SpecBase):
 
         _check_choice("link_error_method", self.link_error_method,
                       LINK_ERROR_METHODS)
-        # The cycle engine is integer-exact, so unlike the coding/phy
-        # specs there is no dtype knob — only the array backend.
-        from repro.backend import KNOWN_BACKENDS
-
-        _check_choice("backend", self.backend, KNOWN_BACKENDS)
         if self.link_error_method != "surrogate" and self.ebn0_db is None:
             raise ValueError(
                 "link_error_method only applies to the ebn0_db derivation; "
@@ -585,8 +571,7 @@ class NocSpec(SpecBase):
             link_latency_cycles=self._integer_cycles("link_latency_cycles"),
             buffer_depth_flits=self.buffer_depth_flits or None,
             link_error_rate=self.effective_link_error_rate(coding, phy,
-                                                           channel),
-            backend=self.backend)
+                                                           channel))
 
     def make_simulated_model(self, n_cycles: int = 4_000,
                              warmup_cycles: int = 1_000,

@@ -7,7 +7,12 @@ short and uniform.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Union
+
+import numpy as np
+
+#: Kernel dtype spellings accepted by :func:`resolve_dtype`.
+SUPPORTED_DTYPES = ("float64", "float32")
 
 
 def check_positive(name: str, value: float) -> float:
@@ -55,3 +60,25 @@ def check_choice(name: str, value: str, choices: Iterable[str]) -> str:
             f"{name} must be one of {allowed}, got {value!r}"
         )
     return value
+
+
+def resolve_dtype(dtype: Union[None, str, type, np.dtype] = None) -> np.dtype:
+    """Normalise the kernel ``dtype=`` knob to float64 (default) or float32.
+
+    float64 is the bit-exact reference precision of the BP and trellis
+    kernels; float32 runs the same kernels in single precision and is
+    validated statistically (see EXPERIMENTS.md).
+    """
+    if dtype is None:
+        return np.dtype(np.float64)
+    try:
+        resolved = np.dtype(dtype)
+    except TypeError as exc:
+        raise ValueError(
+            f"unsupported kernel dtype {dtype!r}; valid choices are "
+            f"{', '.join(SUPPORTED_DTYPES)}") from exc
+    if resolved.name not in SUPPORTED_DTYPES:
+        raise ValueError(
+            f"unsupported kernel dtype {resolved.name!r}; valid choices "
+            f"are {', '.join(SUPPORTED_DTYPES)}")
+    return resolved

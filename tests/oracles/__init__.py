@@ -1,0 +1,10 @@
+"""Retired reference implementations the library is checked against.
+
+* :mod:`oracles.bp` — the row-major float64 BP kernel, for byte identity.
+* :mod:`oracles.ber` — the per-codeword BER loop.
+* :mod:`oracles.noc` — the deque-of-queues NoC cycle simulator.
+* :mod:`oracles.trellis` — the Python-loop Viterbi search.
+
+Test modules import them as ``oracles`` (pytest puts ``tests/`` on the
+import path); ``benchmarks/conftest.py`` adds the same directory.
+"""

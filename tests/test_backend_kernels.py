@@ -1,11 +1,10 @@
-"""Seam-ported kernels vs. pre-seam captures: bit-exactness and tolerances.
+"""The hot kernels vs. historical captures: bit-exactness and tolerances.
 
 ``tests/data/preseam_digests.json`` holds SHA-256 digests (and, for the
-NoC engine, stringified result fields) captured from the kernels *before*
-the :mod:`repro.backend` seam was introduced, at fixed seeds.  The tests
-here recompute the same workloads through the current code with the
-default backend (NumPy / float64) and require byte-identical output —
-the seam must be invisible at defaults.
+NoC engine, stringified result fields) captured from the kernels before
+they were tiled and given a dtype knob, at fixed seeds.  The tests here
+recompute the same workloads through the current code at the default
+float64 and require byte-identical output.
 
 The float32 message path is held to a statistical tolerance instead
 (bit-agreement fraction on hard decisions), matching the methodology
@@ -19,8 +18,6 @@ import pathlib
 import numpy as np
 import pytest
 
-from repro.backend import numpy_compat_module
-from repro.coding.bp import BeliefPropagationDecoder
 from repro.coding.codes import LdpcConvolutionalCode
 from repro.coding.protograph import paper_edge_spreading
 from repro.coding.window_decoder import WindowDecoder
@@ -90,7 +87,7 @@ def _noc_stats(result):
 
 
 class TestPreSeamBitExactness:
-    """Default backend/dtype must reproduce the pre-seam captures exactly."""
+    """The default float64 kernels must reproduce the captures exactly."""
 
     def test_bp_decode_batch_matches_preseam_digest(self):
         _, decoder, llrs = _window_workload(_paper_code())
@@ -192,41 +189,6 @@ class TestFloat32Tolerance:
         app32 = kernel32.symbol_log_posteriors(log_obs)
         assert np.mean(np.argmax(app32, axis=-1)
                        == np.argmax(app64, axis=-1)) >= 0.99
-
-
-class TestCompatBackendEquivalence:
-    """The capability-stripped generic path must agree with the tuned one."""
-
-    def test_bp_compat_path_matches_fast_path(self):
-        code = _paper_code()
-        _, decoder, llrs = _window_workload(code)
-        compat = BeliefPropagationDecoder(decoder.parity_check,
-                                          max_iterations=25,
-                                          backend=numpy_compat_module(),
-                                          dtype="float32")
-        fast = BeliefPropagationDecoder(decoder.parity_check,
-                                        max_iterations=25,
-                                        dtype="float32")
-        res_compat = compat.decode_batch(llrs)
-        res_fast = fast.decode_batch(llrs)
-        np.testing.assert_array_equal(res_compat.hard_decisions,
-                                      res_fast.hard_decisions)
-        # Op ordering differs between the paths, so float32 posteriors
-        # agree only to single-precision accumulation error.
-        np.testing.assert_allclose(res_compat.posterior_llrs,
-                                   res_fast.posterior_llrs,
-                                   rtol=1e-3, atol=1e-2)
-
-    def test_trellis_compat_path_matches_fast_path(self):
-        channel, signs = _trellis_workload("ramp53_2")
-        log_obs = channel.log_observation_probabilities(signs)
-        compat = TrellisKernel(channel, backend=numpy_compat_module())
-        fast = TrellisKernel(channel)
-        np.testing.assert_array_equal(compat.viterbi(log_obs),
-                                      fast.viterbi(log_obs))
-        np.testing.assert_allclose(compat.symbol_log_posteriors(log_obs),
-                                   fast.symbol_log_posteriors(log_obs),
-                                   rtol=1e-12, atol=1e-12)
 
 
 class TestNocBatchBitIdentity:

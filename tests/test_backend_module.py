@@ -1,128 +1,14 @@
-"""Backend selection: resolution rules, env var, fallbacks, dtypes."""
+"""The kernel dtype knob and the specs that carry it.
 
-import warnings
+The BP and trellis kernels have one implementation each; ``dtype`` is
+their only precision knob, and the layer specs no longer name an array
+backend.
+"""
 
 import numpy as np
 import pytest
 
-from repro.backend import (
-    ArrayModule,
-    BACKEND_ENV_VAR,
-    BackendFallbackWarning,
-    KNOWN_BACKENDS,
-    NUMPY_MODULE,
-    SUPPORTED_DTYPES,
-    UnknownBackendError,
-    available_backends,
-    numpy_compat_module,
-    resolve_backend,
-    resolve_dtype,
-)
-from repro.backend import module as backend_module
-
-
-class TestResolveBackend:
-    def test_default_is_numpy(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        resolved = resolve_backend(None)
-        assert resolved is NUMPY_MODULE
-        assert resolved.name == "numpy"
-        assert resolved.is_numpy
-
-    def test_explicit_numpy_name(self):
-        assert resolve_backend("numpy") is NUMPY_MODULE
-        assert resolve_backend("  NumPy ") is NUMPY_MODULE
-
-    def test_array_module_passthrough(self):
-        module = numpy_compat_module()
-        assert resolve_backend(module) is module
-
-    def test_unknown_name_raises_typed_error_naming_choices(self):
-        with pytest.raises(UnknownBackendError) as excinfo:
-            resolve_backend("tensorflow")
-        message = str(excinfo.value)
-        for name in KNOWN_BACKENDS:
-            assert name in message
-        assert BACKEND_ENV_VAR in message
-        assert excinfo.value.valid == KNOWN_BACKENDS
-        # It is a ValueError, so CLI/spec layers surface it as user error.
-        assert isinstance(excinfo.value, ValueError)
-
-    def test_non_string_rejected(self):
-        with pytest.raises(TypeError):
-            resolve_backend(42)
-
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
-        assert resolve_backend(None) is NUMPY_MODULE
-
-    def test_env_var_unknown_name_raises(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "hal9000")
-        with pytest.raises(UnknownBackendError):
-            resolve_backend(None)
-
-    def test_explicit_argument_beats_env_var(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "hal9000")
-        assert resolve_backend("numpy") is NUMPY_MODULE
-
-    def test_empty_env_var_means_default(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "")
-        assert resolve_backend(None) is NUMPY_MODULE
-
-
-class TestMissingOptionalBackend:
-    @pytest.fixture()
-    def missing_backend(self, monkeypatch):
-        """A known backend whose import probe reports 'not installed'."""
-        monkeypatch.setattr(backend_module, "_optional_factories",
-                            lambda: {"cupy": lambda: None})
-        monkeypatch.setattr(backend_module, "_warned_fallbacks", set())
-        return "cupy"
-
-    def test_degrades_to_numpy_with_single_warning(self, missing_backend):
-        with pytest.warns(BackendFallbackWarning, match="not installed"):
-            resolved = resolve_backend(missing_backend)
-        assert resolved is NUMPY_MODULE
-        # Second resolution is silent: once per process, not per call.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_backend(missing_backend) is NUMPY_MODULE
-
-    def test_available_backends_excludes_missing(self, missing_backend):
-        assert available_backends() == ("numpy",)
-
-
-class TestArrayModule:
-    def test_numpy_module_capabilities(self):
-        assert NUMPY_MODULE.supports_out
-        assert NUMPY_MODULE.supports_reduceat
-        assert NUMPY_MODULE.xp is np
-
-    def test_compat_module_strips_capabilities(self):
-        compat = numpy_compat_module()
-        assert compat.name == "numpy-compat"
-        assert not compat.supports_out
-        assert not compat.supports_reduceat
-        assert compat.is_numpy  # still host NumPy arrays underneath
-
-    def test_host_transfer_roundtrip(self):
-        data = np.arange(6.0).reshape(2, 3)
-        on_backend = NUMPY_MODULE.from_numpy(data)
-        back = NUMPY_MODULE.to_numpy(on_backend)
-        np.testing.assert_array_equal(back, data)
-
-    def test_asarray_dtype(self):
-        array = NUMPY_MODULE.asarray([1, 2, 3], dtype=np.float32)
-        assert array.dtype == np.float32
-
-    def test_custom_transfer_hooks(self):
-        seen = []
-        module = ArrayModule(name="probe", xp=np,
-                             _to_numpy=lambda a: seen.append("to") or a,
-                             _from_numpy=lambda a: seen.append("from") or a)
-        module.from_numpy(np.zeros(1))
-        module.to_numpy(np.zeros(1))
-        assert seen == ["from", "to"]
+from repro.utils.validation import SUPPORTED_DTYPES, resolve_dtype
 
 
 class TestResolveDtype:
@@ -151,7 +37,7 @@ class TestSpecValidation:
         from repro.scenarios.specs import CodingSpec
 
         with pytest.raises(ValueError, match="backend"):
-            CodingSpec(backend="tensorflow")
+            CodingSpec.from_dict({"backend": "tensorflow"})
 
     def test_phy_spec_rejects_unknown_dtype(self):
         from repro.scenarios.specs import PhySpec
@@ -163,7 +49,7 @@ class TestSpecValidation:
         from repro.scenarios.specs import NocSpec
 
         with pytest.raises(ValueError, match="backend"):
-            NocSpec(backend="abacus")
+            NocSpec.from_dict({"backend": "abacus"})
 
     def test_dtype_enters_cache_identity(self):
         from repro.scenarios.specs import CodingSpec, PhySpec
@@ -173,8 +59,8 @@ class TestSpecValidation:
         assert PhySpec().cache_dict() \
             != PhySpec(dtype="float32").cache_dict()
 
-    def test_backend_enters_cache_identity(self):
-        from repro.scenarios.specs import NocSpec
+    def test_specs_carry_no_backend(self):
+        from repro.scenarios.specs import CodingSpec, NocSpec, PhySpec
 
-        base = NocSpec().cache_dict()
-        assert "backend" in base
+        for spec in (CodingSpec(), PhySpec(), NocSpec()):
+            assert "backend" not in spec.cache_dict()

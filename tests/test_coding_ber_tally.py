@@ -12,6 +12,8 @@ from repro.coding.ber import (
 )
 from repro.utils.statistics import StoppingRule
 
+from oracles.ber import simulate_reference
+
 
 def uncoded_simulator(codeword_length=200, batch_size=8):
     """Cheap hard-decision simulator — plentiful errors, no decoder cost."""
@@ -142,8 +144,8 @@ class TestFixedSeedRegression:
             self, ldpc_cc_simulator):
         batched = ldpc_cc_simulator.simulate(1.0, n_codewords=16, rng=7,
                                              max_bit_errors=50)
-        reference = ldpc_cc_simulator.simulate_reference(
-            1.0, n_codewords=16, rng=7, max_bit_errors=50)
+        reference = simulate_reference(
+            ldpc_cc_simulator, 1.0, n_codewords=16, rng=7, max_bit_errors=50)
         assert reference == batched
 
 

@@ -14,6 +14,8 @@ from repro.coding.codes import LdpcConvolutionalCode
 from repro.coding.protograph import paper_edge_spreading
 from repro.coding.window_decoder import WindowDecoder
 
+from oracles.ber import simulate_reference
+
 
 @pytest.fixture(scope="module")
 def small_cc():
@@ -136,7 +138,7 @@ class TestBatchedBerSimulator:
                                  decode_batch=decoder.decode_bits_batch,
                                  batch_size=4)
         batched = simulator.simulate(2.0, n_codewords=10, rng=13)
-        reference = simulator.simulate_reference(2.0, n_codewords=10, rng=13)
+        reference = simulate_reference(simulator, 2.0, n_codewords=10, rng=13)
         assert batched == reference
 
     def test_batched_simulate_equals_reference_with_error_stop(self, small_cc):
@@ -147,8 +149,8 @@ class TestBatchedBerSimulator:
                                  batch_size=3)
         batched = simulator.simulate(1.0, n_codewords=12, rng=7,
                                      max_bit_errors=40)
-        reference = simulator.simulate_reference(1.0, n_codewords=12, rng=7,
-                                                 max_bit_errors=40)
+        reference = simulate_reference(simulator, 1.0, n_codewords=12, rng=7,
+                                       max_bit_errors=40)
         assert batched == reference
         assert batched.n_codewords < 12
 
@@ -159,7 +161,7 @@ class TestBatchedBerSimulator:
                                  decode=lambda llrs: (llrs < 0).astype(int),
                                  batch_size=7)
         batched = simulator.simulate(3.0, n_codewords=20, rng=1)
-        reference = simulator.simulate_reference(3.0, n_codewords=20, rng=1)
+        reference = simulate_reference(simulator, 3.0, n_codewords=20, rng=1)
         assert batched == reference
 
     def test_batch_decoder_shape_checked(self):

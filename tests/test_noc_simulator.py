@@ -9,13 +9,11 @@ from repro.core.engine import SweepEngine
 from repro.noc.analytic import AnalyticNocModel, RouterParameters
 from repro.noc.metrics import average_hop_count
 from repro.noc.routing import ShortestPathRouting
-from repro.noc.simulator import (
-    NocSimulator,
-    ReferenceNocSimulator,
-    SimulationResult,
-)
+from repro.noc.simulator import NocSimulator, SimulationResult
 from repro.noc.topology import Mesh2D, Mesh3D, StarMesh
 from repro.noc.traffic import HotspotTraffic, NeighborTraffic, TransposeTraffic
+
+from oracles.noc import ReferenceNocSimulator
 
 
 class TestSimulatorBasics:

@@ -14,6 +14,8 @@ from repro.phy.frontend import (
 from repro.phy.pulse import ramp_pulse, sequence_optimized_pulse
 from repro.scenarios.specs import CodingSpec, PhySpec
 
+from oracles.ber import simulate_reference
+
 
 @pytest.fixture(scope="module")
 def small_coding():
@@ -75,14 +77,14 @@ class TestBerSimulatorIntegration:
             self, small_coding):
         """Acceptance: the default BerSimulator path is unchanged.
 
-        ``simulate_reference`` is the untouched pre-batching (and
-        pre-frontend) implementation; the batched default path must keep
+        ``simulate_reference`` is the pre-batching (and pre-frontend)
+        implementation, kept as an oracle; the batched default path must keep
         returning the identical BerPoint at a fixed seed now that it
         routes through BpskAwgnFrontend.
         """
         simulator = small_coding.make_ber_simulator(batch_size=4)
         batched = simulator.simulate(2.0, n_codewords=6, rng=42)
-        reference = simulator.simulate_reference(2.0, n_codewords=6, rng=42)
+        reference = simulate_reference(simulator, 2.0, n_codewords=6, rng=42)
         assert batched == reference
         # And passing the frontend explicitly changes nothing either.
         explicit = small_coding.make_ber_simulator(

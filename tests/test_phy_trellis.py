@@ -7,12 +7,10 @@ from repro.phy.channel_model import OversampledOneBitChannel
 from repro.phy.modulation import AskConstellation
 from repro.phy.pulse import ramp_pulse, rectangular_pulse, \
     sequence_optimized_pulse
-from repro.phy.receiver import (
-    SymbolBySymbolDetector,
-    ViterbiSequenceDetector,
-    viterbi_loop_reference,
-)
+from repro.phy.receiver import SymbolBySymbolDetector, ViterbiSequenceDetector
 from repro.phy.trellis import TrellisKernel
+
+from oracles.trellis import detect_reference, viterbi_loop_reference
 
 
 def _channel(pulse, snr_db, order=4):
@@ -49,7 +47,7 @@ class TestVectorizedViterbi:
         _, signs = channel.simulate(400, rng=7)
         detector = ViterbiSequenceDetector(channel)
         np.testing.assert_array_equal(detector.detect(signs),
-                                      detector.detect_reference(signs))
+                                      detect_reference(detector, signs))
 
     def test_batch_equals_scalar(self):
         channel = _channel(ramp_pulse(5, 3), 14.0)
@@ -83,6 +81,18 @@ class TestVectorizedViterbi:
         log_obs = channel.log_observation_probabilities(signs)
         np.testing.assert_array_equal(kernel.viterbi(log_obs),
                                       np.argmax(log_obs[:, 0, :], axis=-1))
+
+    def test_non_canonical_trellis_rejected(self):
+        class ReversedRegister(OversampledOneBitChannel):
+            # Shifts the new symbol in at the other end of the register.
+            def next_state(self, state, input_index):
+                return (state * self.order + input_index) % self.n_states
+
+        channel = ReversedRegister(pulse=ramp_pulse(5, 3),
+                                   constellation=AskConstellation(4),
+                                   snr_db=10.0)
+        with pytest.raises(ValueError, match="canonical shift register"):
+            TrellisKernel(channel)
 
     def test_invalid_shapes_and_initial_rejected(self):
         channel = _channel(sequence_optimized_pulse(), 15.0)

@@ -2,6 +2,7 @@
 
 import glob
 import json
+import multiprocessing
 import os
 import re
 
@@ -243,6 +244,26 @@ class TestScenarioResult:
         assert engine.cache_info()["hits"] == 0
         scenario.run(rng=3, engine=engine)
         assert engine.cache_info()["hits"] == len(scenario.points)
+
+    def test_run_closes_the_engine_it_creates(self):
+        before = set(multiprocessing.active_children())
+        build_scenario("fig1").run(rng=0, n_workers=2)
+        leftover = set(multiprocessing.active_children()) - before
+        for child in leftover:
+            child.join(timeout=10)
+        assert not leftover
+
+    def test_run_leaves_a_passed_engine_open(self):
+        before = set(multiprocessing.active_children())
+        engine = SweepEngine(n_workers=2)
+        try:
+            build_scenario("fig1").run(rng=0, engine=engine)
+            assert set(multiprocessing.active_children()) - before
+        finally:
+            engine.close()
+        for child in set(multiprocessing.active_children()) - before:
+            child.join(timeout=10)
+        assert not set(multiprocessing.active_children()) - before
 
     def test_equivalent_scenarios_share_cached_points(self):
         # Content-addressed keys: a *rebuilt* scenario (new Scenario, new

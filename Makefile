@@ -2,7 +2,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test lint smoke bench scenarios run-scenario run-all noc phy \
-	instrument serve kernel-smoke dispatch-bench
+	instrument serve kernel-smoke dispatch-bench perfbench
 
 # Tier-1 verification: the full unit/integration suite plus benchmarks.
 test:
@@ -48,6 +48,15 @@ kernel-smoke:
 dispatch-bench:
 	$(PYTHON) -m pytest -q -s benchmarks/test_bench_engine_dispatch.py
 	$(PYTHON) -m pytest -q tests/test_core_pool.py
+
+# Scenario benchmark smoke: the noc workload traced, then untraced.  Each
+# run exits 0 only when every output matches the reference; the traced
+# run also fails when layer spans cover < 90% of the scenarios' wall
+# time, which one noisy cold pass can miss, so its exit status is
+# reported but does not stop the target.
+perfbench:
+	-$(PYTHON) perfbench/run.py --workload noc --seed 0 --seconds 5 --trace 1
+	$(PYTHON) perfbench/run.py --workload noc --seed 0 --seconds 5 --trace 0
 
 # The scenario registry: list everything runnable by name.
 scenarios:

@@ -65,7 +65,7 @@ import numpy as np
 
 from repro.core.pool import PoolTask, WorkerPool, broadcast_key_for
 from repro.core.store import MemoryStore, RunStore, store_and_canonicalize
-from repro.utils.hashing import sweep_point_key, worker_cache_key
+from repro.utils.hashing import sweep_point_keys, worker_cache_key
 from repro.utils.rng import RngLike, ensure_seed_sequence
 
 SweepWorker = Callable[[Mapping[str, Any], np.random.Generator], Any]
@@ -195,14 +195,21 @@ def plan_sweep(worker: SweepWorker, points: Iterable[Mapping[str, Any]],
     children = root.spawn(len(points)) if points else []
     seeded = isinstance(rng, (int, np.integer))
     worker_key = worker_cache_key(worker) if key is None else key
+    point_key = None
+    if cacheable and seeded:
+        try:
+            point_key = sweep_point_keys(worker_key)
+        except TypeError:
+            # A worker description the canonical JSON cannot represent:
+            # every point still runs, none can be cached.
+            pass
     planned = []
     for point, child in zip(points, children):
-        spawn_key = tuple(int(k) for k in child.spawn_key)
+        spawn_key = tuple(map(int, child.spawn_key))
         store_key = None
-        if cacheable and seeded:
+        if point_key is not None:
             try:
-                store_key = sweep_point_key(worker_key, point, int(rng),
-                                            spawn_key)
+                store_key = point_key(point, int(rng), spawn_key)
             except TypeError:
                 # Param values the canonical JSON cannot represent (an
                 # enum, an arbitrary object): the point still runs, it

@@ -14,6 +14,15 @@ simulation by
 4. summing pipeline latency and waiting times along each flow's path,
    weighted by the flow rates.
 
+Steps 1-2 are a frontier walk over the routing's next-router table: every
+router-pair flow advances one hop per step, a block of source routers at a
+time, and the recorded links are sorted back into per-pair order (source
+by source, destination by destination, hop by hop along each path) before
+``np.add.at`` adds the flow rates in index order.  Every addition happens
+in the order a per-pair path walk would make it, so the channel loads,
+their key order and the weighted hop count are bit-identical to that
+walk, which ``tests/oracles/noc.py`` keeps as the reference.
+
 Calibration: the router pipeline latency (2 cycles per traversed router)
 and the effective channel service time (1.2 cycles per flit, absorbing
 switch-allocation and protocol overheads of the reference router) are
@@ -25,8 +34,8 @@ and 4x4x4 3D mesh respectively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +45,43 @@ from repro.noc.traffic import UniformTraffic, _TrafficPattern
 from repro.utils.validation import check_non_negative, check_positive
 
 Channel = Tuple[str, int, int]
+
+#: Flows one block of the routing walk advances together: a block holds
+#: ``_WALK_FLOWS // n_routers`` source routers (at least one), which
+#: bounds the walk's memory on large grids; 64-router models are one block.
+_WALK_FLOWS = 8192
+
+
+def _frontier_walk(table: np.ndarray, sources: np.ndarray,
+                   destinations: np.ndarray
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """Every link of every flow's path, in the per-pair walk's order.
+
+    ``table[current, destination]`` is the next router on a path.  All
+    unfinished flows advance one hop per step, and each step records
+    ``(flow, link)`` with the link as ``upstream * n_routers +
+    downstream``.  Steps are recorded one after another, flows in
+    ascending order within each, so a stable sort by flow lists each
+    flow's links in path order, flow after flow; returns their flow
+    indices and links.
+    """
+    n_routers = table.shape[0]
+    flows = np.flatnonzero(sources != destinations)
+    position = sources[flows]
+    target = destinations[flows]
+    records = []
+    while flows.size:
+        following = table[position, target]
+        records.append((flows, position * n_routers + following))
+        moving = following != target
+        flows = flows[moving]
+        position = following[moving]
+        target = target[moving]
+    if not records:                 # no flow leaves its source router
+        return flows, flows
+    flow_ids, links = (np.concatenate(part) for part in zip(*records))
+    order = np.argsort(flow_ids, kind="stable")
+    return flow_ids[order], links[order]
 
 
 @dataclass(frozen=True)
@@ -127,7 +173,8 @@ class AnalyticNocModel:
     # traffic analysis (per unit injection rate)
     # ------------------------------------------------------------------
     def _analyse_unit_traffic(self) -> Tuple[Dict[Channel, float], float]:
-        """Channel loads and rate-weighted hop count for unit injection."""
+        """Channel loads and rate-weighted hop count for unit injection
+        (steps 1-2 of the module docstring)."""
         pattern: _TrafficPattern = self.traffic_class(
             self.topology, 1.0, **self.traffic_kwargs)
         rates = pattern.rate_matrix()
@@ -136,12 +183,12 @@ class AnalyticNocModel:
             raise ValueError("traffic pattern produced a mis-shaped rate matrix")
         loads: Dict[Channel, float] = {}
         total_rate = rates.sum()
-        weighted_routers = 0.0
+        n_routers = self.topology.n_routers
         # Aggregate module pairs by router pairs to cut the path
         # enumeration from (c*R)^2 to R^2 flows.
         router_rates = rates.reshape(
-            self.topology.n_routers, self.topology.concentration,
-            self.topology.n_routers, self.topology.concentration,
+            n_routers, self.topology.concentration,
+            n_routers, self.topology.concentration,
         ).sum(axis=(1, 3))
         for module in range(n_modules):
             injected = rates[module].sum()
@@ -150,17 +197,34 @@ class AnalyticNocModel:
             received = rates[:, module].sum()
             if received > 0.0:
                 loads[("ejection", module, -1)] = received
-        for source_router in range(self.topology.n_routers):
-            for destination_router in range(self.topology.n_routers):
-                rate = router_rates[source_router, destination_router]
-                if rate <= 0.0:
-                    continue
-                path = self.routing.router_path(source_router,
-                                                destination_router)
-                weighted_routers += rate * len(path)
-                for upstream, downstream in zip(path[:-1], path[1:]):
-                    key = ("link", upstream, downstream)
-                    loads[key] = loads.get(key, 0.0) + rate
+        table = self.routing.next_router_table()
+        # Link (u, v) is entry u * R + v of the per-link arrays.
+        link_loads = np.zeros(n_routers * n_routers)
+        seen = np.zeros(n_routers * n_routers, dtype=bool)
+        link_order = []
+        weighted_routers = 0.0
+        block = max(1, _WALK_FLOWS // n_routers)
+        for first_source in range(0, n_routers, block):
+            sources, destinations = np.nonzero(
+                router_rates[first_source:first_source + block] > 0.0)
+            sources += first_source
+            flow_rates = router_rates[sources, destinations]
+            flow_ids, links = _frontier_walk(table, sources, destinations)
+            # ufunc.at adds in index order, so every load is the running
+            # sum of its flows' rates in the per-pair walk's order.
+            np.add.at(link_loads, links, flow_rates[flow_ids])
+            # Links new to this block join the key order where they first
+            # occur in its link stream.
+            new, first = np.unique(links[~seen[links]], return_index=True)
+            link_order.append(new[np.argsort(first)])
+            seen[new] = True
+            # cumsum adds sequentially: the running sum of rate * |path|.
+            path_routers = np.bincount(flow_ids, minlength=sources.size) + 1
+            weighted_routers = np.cumsum(np.concatenate(
+                ([weighted_routers], flow_rates * path_routers)))[-1]
+        order = np.concatenate(link_order)
+        for link, load in zip(order.tolist(), link_loads[order]):
+            loads[("link", link // n_routers, link % n_routers)] = load
         if total_rate <= 0.0:
             return loads, 1.0
         return loads, weighted_routers / total_rate

@@ -7,11 +7,11 @@ and are shared by the tests, the examples and the benchmark harness.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.noc.routing import DimensionOrderedRouting
 from repro.noc.topology import GridTopology
 from repro.utils.validation import check_positive
 
@@ -20,27 +20,21 @@ def average_hop_count(topology: GridTopology) -> float:
     """Mean router-to-router hop count over uniformly chosen module pairs.
 
     Source and destination modules are distinct, but may share a router in
-    concentrated topologies (zero network hops).
+    concentrated topologies (zero network hops).  Dimension-ordered hops
+    are Manhattan distances, so the sum over router pairs splits by axis:
+    an axis of ``k`` routers contributes ``(k**3 - k) / 3`` over its
+    coordinate pairs, once per pair of lines along it; each router pair
+    stands for ``c**2`` module pairs.  The sum is exact integer arithmetic.
     """
-    n_modules = topology.n_modules
+    n_routers = math.prod(topology.dimensions)
+    concentration = topology.concentration
+    n_modules = n_routers * concentration
     if n_modules < 2:
         return 0.0
-    routing = DimensionOrderedRouting(topology)
-    total = 0.0
-    # Aggregate modules by router: hop count only depends on the routers.
-    concentration = topology.concentration
-    n_routers = topology.n_routers
-    pair_count = 0
-    for source_router in range(n_routers):
-        for destination_router in range(n_routers):
-            hops = routing.hop_count(source_router, destination_router)
-            if source_router == destination_router:
-                pairs = concentration * (concentration - 1)
-            else:
-                pairs = concentration * concentration
-            total += hops * pairs
-            pair_count += pairs
-    return total / pair_count
+    total = sum((n_routers // size) ** 2 * (size ** 3 - size) // 3
+                for size in topology.dimensions)
+    return (float(concentration * concentration * total)
+            / (n_modules * (n_modules - 1)))
 
 
 def zero_load_latency(topology: GridTopology,
@@ -64,16 +58,11 @@ def bisection_links(topology: GridTopology) -> int:
     bandwidth — the structural advantage of the 3D mesh the paper points
     out.
     """
-    dimensions = topology.dimensions
-    longest_axis = int(np.argmax(dimensions))
-    cut_position = dimensions[longest_axis] // 2
-    count = 0
-    for upstream, downstream in topology.links():
-        a = topology.router_coordinate(upstream)[longest_axis]
-        b = topology.router_coordinate(downstream)[longest_axis]
-        if min(a, b) < cut_position <= max(a, b):
-            count += 1
-    return count
+    longest = max(topology.dimensions)
+    if longest < 2:
+        return 0
+    # One channel each way per line of routers along the longest axis.
+    return 2 * (math.prod(topology.dimensions) // longest)
 
 
 def bisection_bandwidth_per_module(topology: GridTopology,

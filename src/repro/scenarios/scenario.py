@@ -126,7 +126,7 @@ class Scenario:
         """
         return {
             "specs": {layer: {"spec_type": type(spec).__name__,
-                              **to_plain(spec.cache_dict())}
+                              **spec.cache_dict()}
                       for layer, spec in self.specs.items()
                       if not isinstance(spec, PrecisionSpec)},
             "worker": worker_cache_key(self.worker),

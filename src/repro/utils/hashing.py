@@ -7,9 +7,10 @@ canonical JSON of ``(worker key, sorted params, seed, spawn key, repro
 version)``:
 
 * **canonical JSON** — :func:`canonical_json` coerces values through
-  :func:`repro.utils.serialization.to_plain` and serializes with sorted
-  keys and fixed separators, so dict ordering, tuples-vs-lists and NumPy
-  scalar types never change the key;
+  :func:`repro.utils.serialization.to_plain` (when ``json`` cannot take
+  them as they are) and serializes with sorted keys and fixed
+  separators, so dict ordering, tuples-vs-lists and NumPy scalar types
+  never change the key;
 * **worker key** — :func:`worker_cache_key` derives a stable description
   of a worker: frozen dataclass workers (the scenario catalog) are
   addressed by type name plus field state, module-level functions by
@@ -18,6 +19,9 @@ version)``:
   valid inside one process but can never be confused across processes);
 * **version** — ``repro.__version__`` is folded into every key so results
   computed by one release are never served to another.
+
+:func:`sweep_point_keys` renders the worker description and version once
+per sweep; :func:`sweep_point_key` is its one-point form.
 
 Two sweeps that describe the same computation therefore share cached
 points across processes and days; anything that differs — a spec field, a
@@ -31,7 +35,7 @@ import hashlib
 import json
 import os
 import types
-from typing import Any, Dict, Mapping, Sequence
+from typing import Any, Callable, Dict, Mapping, Sequence
 
 from repro.utils.serialization import to_plain
 
@@ -41,16 +45,23 @@ from repro.utils.serialization import to_plain
 _PROCESS_TOKEN = f"{os.getpid()}-{os.urandom(8).hex()}"
 
 
+#: ``json.dumps(to_plain(value), sort_keys=True, separators=(",", ":"))``,
+#: built once.  ``json`` hands ``to_plain`` only the values it rejects.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                              default=to_plain)
+
+
 def canonical_json(value: Any) -> str:
     """Deterministic JSON rendering of ``value``.
 
-    Values are first coerced to plain Python types (NumPy scalars/arrays,
+    Values are coerced to plain Python types (NumPy scalars/arrays,
     tuples, nested dataclasses), then serialized with sorted keys and
     compact separators — the same logical value always yields the same
     string, regardless of construction order or container flavour.
+    The coercion happens as ``json`` meets a value it cannot take as it
+    is; ``np.float64`` is a ``float`` and encodes as one.
     """
-    return json.dumps(to_plain(value), sort_keys=True,
-                      separators=(",", ":"))
+    return _CANONICAL.encode(value)
 
 
 def content_hash(value: Any) -> str:
@@ -62,6 +73,10 @@ def _identity_token(value: Any) -> Dict[str, Any]:
     return {"identity": f"{type(value).__module__}."
                         f"{type(value).__qualname__}",
             "id": id(value), "process": _PROCESS_TOKEN}
+
+
+#: Exact types that describe themselves (``to_plain`` passes them through).
+_SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
 def _describe(value: Any) -> Any:
@@ -77,6 +92,8 @@ def _describe(value: Any) -> Any:
     matching the engine's historical object-identity cache, and never
     colliding across processes.
     """
+    if type(value) in _SCALARS:
+        return value
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         # Handled before to_plain so the type name is always part of the
         # description: two classes with identical field values — at any
@@ -164,21 +181,39 @@ def worker_cache_key(worker: Any) -> Dict[str, Any]:
     return description
 
 
-def sweep_point_key(worker_key: Any, params: Mapping[str, Any], seed: int,
-                    spawn_key: Sequence[int]) -> str:
-    """Store key of one sweep point.
+def sweep_point_keys(worker_key: Any
+                     ) -> Callable[[Mapping[str, Any], int, Sequence[int]],
+                                   str]:
+    """Store-key function for the points of one sweep of one worker.
 
-    The hash covers the worker description, the (canonically sorted)
-    parameter mapping, the root integer seed, the point's spawn key in the
-    seed tree and the library version — everything that determines the
-    point's value, nothing that does not.
+    A point's key hashes the canonical JSON of its worker description,
+    (canonically sorted) parameter mapping, root integer seed, spawn key
+    in the seed tree and the library version — everything that determines
+    the point's value, nothing that does not.  Sorted, those fields run
+    ``params, seed, spawn_key, version, worker``, so the text from
+    ``version`` on is the same for every point: it is rendered once here,
+    and each point renders only its own fields.  Raises ``TypeError`` when
+    the worker description has no canonical JSON, and the returned
+    function does when a point's params have none.
     """
     import repro  # runtime import: repro.__init__ imports the engine
 
-    return content_hash({
-        "worker": to_plain(worker_key),
-        "params": dict(params),
-        "seed": int(seed),
-        "spawn_key": [int(k) for k in spawn_key],
-        "version": repro.__version__,
-    })
+    suffix = (f',"version":{canonical_json(repro.__version__)}'
+              f',"worker":{canonical_json(worker_key)}}}').encode("utf-8")
+
+    def point_key(params: Mapping[str, Any], seed: int,
+                  spawn_key: Sequence[int]) -> str:
+        spawn = ",".join([str(int(k)) for k in spawn_key])
+        digest = hashlib.sha256(
+            f'{{"params":{canonical_json(dict(params))},"seed":{int(seed)}'
+            f',"spawn_key":[{spawn}]'.encode("utf-8"))
+        digest.update(suffix)
+        return digest.hexdigest()
+
+    return point_key
+
+
+def sweep_point_key(worker_key: Any, params: Mapping[str, Any], seed: int,
+                    spawn_key: Sequence[int]) -> str:
+    """Store key of one sweep point (see :func:`sweep_point_keys`)."""
+    return sweep_point_keys(worker_key)(params, seed, spawn_key)

@@ -1,11 +1,17 @@
-"""The deque-of-queues NoC cycle simulator, kept as a test oracle.
+"""Retired NoC implementations, kept as test oracles.
 
-The pre-vectorization engine behind :class:`repro.noc.NocSimulator`:
-output-queued routers with per-cycle Python loops over channels and
-packets.  The test suite checks the vectorized engine against it (same
-topology and comparable seeds give statistically indistinguishable
-delivered counts and latencies), and the Fig. 8 benchmark times the
-speed-up over it.
+* :class:`ReferenceNocSimulator` — the pre-vectorization engine behind
+  :class:`repro.noc.NocSimulator`: output-queued routers with per-cycle
+  Python loops over channels and packets.  The test suite checks the
+  vectorized engine against it (same topology and comparable seeds give
+  statistically indistinguishable delivered counts and latencies), and
+  the Fig. 8 benchmark times the speed-up over it.
+* :func:`scalar_unit_traffic` — the per-router-pair path walk behind
+  :class:`repro.noc.AnalyticNocModel`'s channel loads, which the frontier
+  walk must reproduce bit for bit.
+* :func:`loop_average_hop_count` and :func:`loop_bisection_links` — the
+  router-pair and link loops the closed forms in :mod:`repro.noc.metrics`
+  replaced.
 """
 
 from __future__ import annotations
@@ -188,3 +194,81 @@ class _Packet:
     destination_module: int
     creation_cycle: int
     measured: bool
+
+
+# ----------------------------------------------------------------------
+# analytic model and metrics
+# ----------------------------------------------------------------------
+def scalar_unit_traffic(model) -> Tuple[Dict[Tuple[str, int, int], float],
+                                        float]:
+    """Unit-injection channel loads and weighted router traversals of an
+    :class:`~repro.noc.AnalyticNocModel`, by walking ``router_path`` for
+    every router pair in source-major order."""
+    topology = model.topology
+    pattern = model.traffic_class(topology, 1.0, **model.traffic_kwargs)
+    rates = pattern.rate_matrix()
+    n_modules = topology.n_modules
+    loads: Dict[Tuple[str, int, int], float] = {}
+    total_rate = rates.sum()
+    weighted_routers = 0.0
+    router_rates = rates.reshape(
+        topology.n_routers, topology.concentration,
+        topology.n_routers, topology.concentration,
+    ).sum(axis=(1, 3))
+    for module in range(n_modules):
+        injected = rates[module].sum()
+        if injected > 0.0:
+            loads[("injection", module, -1)] = injected
+        received = rates[:, module].sum()
+        if received > 0.0:
+            loads[("ejection", module, -1)] = received
+    for source_router in range(topology.n_routers):
+        for destination_router in range(topology.n_routers):
+            rate = router_rates[source_router, destination_router]
+            if rate <= 0.0:
+                continue
+            path = model.routing.router_path(source_router,
+                                             destination_router)
+            weighted_routers += rate * len(path)
+            for upstream, downstream in zip(path[:-1], path[1:]):
+                key = ("link", upstream, downstream)
+                loads[key] = loads.get(key, 0.0) + rate
+    if total_rate <= 0.0:
+        return loads, 1.0
+    return loads, weighted_routers / total_rate
+
+
+def loop_average_hop_count(topology: GridTopology) -> float:
+    """Mean hop count over distinct module pairs, by a router-pair loop."""
+    n_modules = topology.n_modules
+    if n_modules < 2:
+        return 0.0
+    routing = DimensionOrderedRouting(topology)
+    total = 0.0
+    concentration = topology.concentration
+    n_routers = topology.n_routers
+    pair_count = 0
+    for source_router in range(n_routers):
+        for destination_router in range(n_routers):
+            hops = routing.hop_count(source_router, destination_router)
+            if source_router == destination_router:
+                pairs = concentration * (concentration - 1)
+            else:
+                pairs = concentration * concentration
+            total += hops * pairs
+            pair_count += pairs
+    return total / pair_count
+
+
+def loop_bisection_links(topology: GridTopology) -> int:
+    """Channels crossing the middle of the longest axis, by a link loop."""
+    dimensions = topology.dimensions
+    longest_axis = int(np.argmax(dimensions))
+    cut_position = dimensions[longest_axis] // 2
+    count = 0
+    for upstream, downstream in topology.links():
+        a = topology.router_coordinate(upstream)[longest_axis]
+        b = topology.router_coordinate(downstream)[longest_axis]
+        if min(a, b) < cut_position <= max(a, b):
+            count += 1
+    return count

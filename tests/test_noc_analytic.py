@@ -45,7 +45,7 @@ class TestZeroLoadLatency:
         for topology in (Mesh2D(6, 6), StarMesh(3, 3, 4), Mesh3D(3, 3, 3)):
             model = AnalyticNocModel(topology)
             assert model.zero_load_latency() == pytest.approx(
-                zero_load_latency(topology), abs=0.3)
+                zero_load_latency(topology), rel=1e-12)
 
     def test_mean_latency_at_zero_injection(self):
         model = AnalyticNocModel(Mesh2D(4, 4))

@@ -1,17 +1,21 @@
 """Tests for the content-addressed key derivation (repro.utils.hashing)."""
 
+import hashlib
+import json
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 import repro
+from repro.core.engine import SweepEngine, plan_sweep
 from repro.utils.hashing import (
     canonical_json,
     content_hash,
     sweep_point_key,
     worker_cache_key,
 )
+from repro.utils.serialization import to_plain
 
 
 @dataclass(frozen=True)
@@ -195,6 +199,22 @@ class TestWorkerCacheKey:
         assert worker_cache_key(Wrapper({"inner": A(1)})) == \
             worker_cache_key(Wrapper({"inner": A(1)}))
 
+    def test_scalar_fields_describe_themselves(self):
+        # Exact str/int/float/bool/None field values enter the
+        # description unchanged, value and type.
+        @dataclass(frozen=True)
+        class Scalars:
+            s: str
+            i: int
+            f: float
+            b: bool
+            n: object
+
+        state = worker_cache_key(Scalars("a", 3, 0.5, True, None))["state"]
+        assert state == {"s": "a", "i": 3, "f": 0.5, "b": True, "n": None}
+        assert [type(value) for value in state.values()] == \
+            [str, int, float, bool, type(None)]
+
     def test_set_literals_do_not_leak_hash_randomisation(self):
         # frozenset constants in a worker's code repr in PYTHONHASHSEED
         # order; the digest must be order-independent or cross-process
@@ -243,3 +263,108 @@ class TestSweepPointKey:
     def test_unserializable_params_fail_loudly(self):
         with pytest.raises(TypeError):
             sweep_point_key({"w": 1}, {"a": object()}, 0, (0,))
+
+
+def _reference_json(value):
+    """The canonical JSON as it was defined: coerce, then serialize."""
+    return json.dumps(to_plain(value), sort_keys=True, separators=(",", ":"))
+
+
+def _reference_point_key(worker_key, params, seed, spawn_key):
+    """A point's store key as it was defined: the hash of one dict."""
+    text = _reference_json({
+        "worker": to_plain(worker_key),
+        "params": dict(params),
+        "seed": int(seed),
+        "spawn_key": [int(k) for k in spawn_key],
+        "version": repro.__version__,
+    })
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@dataclass(frozen=True)
+class _Pair:
+    left: float
+    right: tuple
+
+
+class TestCanonicalJsonPins:
+    @pytest.mark.parametrize("value", [
+        np.float64(0.1), np.float32(0.1), np.int64(-7), np.bool_(True),
+        (1, (2.5, "a"), [np.int64(3)]),
+        {"pair": _Pair(np.float64(1.5), (np.int32(2),)), "n": 3},
+        [float("nan"), float("inf"), -float("inf"), np.float64("nan")],
+        {"b": np.arange(3), "a": {"z": None, "y": np.float64(-0.0)}},
+        "text", 17, None,
+    ])
+    def test_matches_coerce_then_serialize(self, value):
+        assert canonical_json(value) == _reference_json(value)
+
+    def test_matches_on_a_channel_dataset(self):
+        from repro.instrument import (AcquisitionPlan, SimulatedVna,
+                                      acquire_dataset)
+
+        plan = AcquisitionPlan(distances_m=(0.05, 0.1), seed=3, n_points=16)
+        with SimulatedVna(seed=plan.seed) as vna:
+            payload = acquire_dataset(vna, plan).to_dict()
+        assert canonical_json(payload) == _reference_json(payload)
+
+    def test_unrepresentable_values_still_raise(self):
+        with pytest.raises(TypeError):
+            canonical_json({"a": object()})
+        with pytest.raises(TypeError):
+            canonical_json({1: "int key", "b": "str key"})
+
+
+class TestSweepKeyPins:
+    def test_one_point_form_matches_the_reference_dict(self):
+        for params, seed, spawn in (({"a": 1}, 0, (0,)),
+                                    ({"x": np.float64(0.25), "t": (1, 2)},
+                                     np.int64(9), (np.int64(4), 2))):
+            assert sweep_point_key({"w": [1, 2.5]}, params, seed, spawn) == \
+                _reference_point_key({"w": [1, 2.5]}, params, seed, spawn)
+
+    def test_every_registry_scenario_keeps_its_store_keys(self):
+        from repro.scenarios import build_scenario, scenario_names
+        from repro.scenarios.specs import PrecisionSpec
+
+        names = scenario_names()
+        assert len(names) >= 31
+        for name in names:
+            scenario = build_scenario(name)
+            # Scenario.cache_key as it was defined: spec dicts coerced.
+            reference = {
+                "specs": {layer: {"spec_type": type(spec).__name__,
+                                  **to_plain(spec.cache_dict())}
+                          for layer, spec in scenario.specs.items()
+                          if not isinstance(spec, PrecisionSpec)},
+                "worker": worker_cache_key(scenario.worker),
+            }
+            for point in plan_sweep(scenario.worker, scenario.points,
+                                    rng=0, key=scenario.cache_key()):
+                assert point.store_key == _reference_point_key(
+                    reference, point.params, 0, point.spawn_key), name
+
+    def test_unserializable_worker_runs_every_point_uncached(self):
+        calls = []
+
+        @dataclass(frozen=True)
+        class Mixed:
+            # Mixed-type dict keys have no canonical (sorted) JSON.
+            table: dict
+
+            def __call__(self, params, rng):
+                calls.append(params["i"])
+                return params["i"]
+
+        worker = Mixed({1: "one", "two": 2})
+        with pytest.raises(TypeError):
+            canonical_json(worker_cache_key(worker))
+        engine = SweepEngine()
+        points = [{"i": i} for i in range(3)]
+        for _ in range(2):
+            outcomes = engine.sweep(worker, points, rng=0)
+            assert [o.value for o in outcomes] == [0, 1, 2]
+            assert not any(o.from_cache for o in outcomes)
+        assert calls == [0, 1, 2, 0, 1, 2]
+        assert len(engine.store) == 0

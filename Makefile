@@ -2,7 +2,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test lint smoke bench scenarios run-scenario run-all noc phy \
-	instrument serve kernel-smoke dispatch-bench perfbench
+	instrument serve kernel-smoke dispatch-bench perfbench frontends
 
 # Tier-1 verification: the full unit/integration suite plus benchmarks.
 test:
@@ -48,6 +48,12 @@ kernel-smoke:
 dispatch-bench:
 	$(PYTHON) -m pytest -q -s benchmarks/test_bench_engine_dispatch.py
 	$(PYTHON) -m pytest -q tests/test_core_pool.py
+
+# The three front-ends on every registered scenario: `repro run`,
+# `repro run-all --workers 2` and the campaign service must give
+# byte-identical JSON (tier-1 checks only the fast scenarios).
+frontends:
+	$(PYTHON) tests/test_frontends.py
 
 # Scenario benchmark smoke: the noc workload traced, then untraced.  Each
 # run exits 0 only when every output matches the reference; the traced

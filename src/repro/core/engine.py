@@ -47,6 +47,19 @@ partial tallies are stored under precision-independent keys so a later,
 tighter target resumes from the stored counts — a cache *upgrade*, not a
 miss.
 
+**One point lifecycle.**  Every front-end — :class:`SweepEngine`, the
+campaign runner (:mod:`repro.scenarios.campaign`) and the campaign
+service (:mod:`repro.service.daemon`) — plans a sweep with
+:func:`plan_sweep`, wraps each planned point in a :class:`Point` and
+drives it through the same steps: :meth:`Point.resolve` (one store lookup;
+an adaptive point decodes its stored tally and checks the stopping
+rule), :meth:`Point.task` (the picklable pool task),
+:meth:`Point.record` (store, canonicalize and — adaptive — finalize) and
+:meth:`Point.error` (the attributed :class:`SweepPointError`).
+:func:`run_points` is the shared back half: it runs pending points
+serially or through a :class:`~repro.core.pool.WorkerPool`, sharding
+deep adaptive points across a multi-process pool.
+
 :meth:`repro.coding.ber.BerSimulator.ber_curve`,
 :func:`repro.coding.ber.required_ebn0_db` (probe seeding) and
 :meth:`repro.noc.simulator.NocSimulator.latency_sweep` route their grids
@@ -65,8 +78,10 @@ import numpy as np
 
 from repro.core.pool import PoolTask, WorkerPool, broadcast_key_for
 from repro.core.store import MemoryStore, RunStore, store_and_canonicalize
-from repro.utils.hashing import sweep_point_keys, worker_cache_key
+from repro.utils.hashing import (content_hash, sweep_point_keys,
+                                 worker_cache_key)
 from repro.utils.rng import RngLike, ensure_seed_sequence
+from repro.utils.serialization import to_plain
 
 SweepWorker = Callable[[Mapping[str, Any], np.random.Generator], Any]
 
@@ -157,8 +172,6 @@ class SweepOutcome:
 
     def to_dict(self) -> Dict[str, Any]:
         """Plain JSON-serializable form (NumPy values coerced)."""
-        from repro.utils.serialization import to_plain
-
         result = {"params": to_plain(self.params),
                   "value": to_plain(self.value),
                   "spawn_key": list(self.spawn_key),
@@ -183,9 +196,10 @@ def plan_sweep(worker: SweepWorker, points: Iterable[Mapping[str, Any]],
                cacheable: bool = True) -> List[PlannedPoint]:
     """Expand a sweep into :class:`PlannedPoint`\\ s with store keys.
 
-    The shared front half of :meth:`SweepEngine.sweep` and the campaign
-    runner: spawn one child seed sequence per point and derive each
-    point's content-addressed store key.  ``store_key`` is ``None`` when
+    The shared front half of every front-end (:class:`SweepEngine`, the
+    campaign runner, the campaign service): spawn one child seed
+    sequence per point and derive each point's content-addressed store
+    key.  ``store_key`` is ``None`` when
     the sweep is not cacheable — the root entropy is fresh (``rng`` is
     not an integer seed) or caching was disabled — so such points are
     always computed and never stored.
@@ -242,63 +256,252 @@ def _advance_shard(worker: Any, params: Mapping[str, Any],
     return worker.advance_shard(params, seed_sequence, batch_indices)
 
 
-def _shard_capable(worker: Any) -> bool:
-    """Does an incremental worker also expose the shard protocol
-    (``cursor`` / ``advance_shard`` / ``absorb``)?"""
-    return all(callable(getattr(worker, name, None))
-               for name in ("cursor", "advance_shard", "absorb"))
+class Point:
+    """The lifecycle of one planned point, shared by every front-end.
 
-
-def execute_pending(pending: Sequence[Any],
-                    job: Callable[[Any], Any],
-                    record: Callable[[Any, Any], None],
-                    error: Callable[[Any, Exception], SweepPointError],
-                    n_workers: Optional[int],
-                    pool: Optional[WorkerPool] = None) -> None:
-    """Evaluate opaque tasks serially or through a worker pool.
-
-    The shared back half of :meth:`SweepEngine.sweep`,
-    :meth:`SweepEngine.sweep_adaptive` and
-    :meth:`repro.scenarios.campaign.Campaign.run`: ``job(task)`` yields a
-    :class:`repro.core.pool.PoolTask` (or, for compatibility, a
-    ``(function, worker, *args)`` tuple) — typically
-    :func:`_evaluate_point` or :func:`_advance_point` plus its
-    arguments, everything picklable on the pool path — ``record(task,
-    value)`` consumes each completion as it happens (durability for
-    interrupted runs), and the first worker exception — on either path —
-    cancels queued work, kills in-flight work and re-raises as the
-    :class:`SweepPointError` built by ``error(task, exception)``.
-
-    Pass ``pool`` to dispatch through a caller-owned warm
-    :class:`~repro.core.pool.WorkerPool` (reused executor, one-shot
-    worker broadcast, chunked submission); with ``pool=None`` and
-    ``n_workers > 1`` an ephemeral pool is built and closed around the
-    batch, preserving the historical per-call behaviour.
+    A :class:`PlannedPoint` plus its worker, the worker's pool
+    ``broadcast`` key, and the ``scenario`` name and campaign entry
+    ``label`` failures are attributed to.  A non-``None`` stopping
+    ``rule`` makes the point adaptive: its store entry is the worker's
+    encoded tally, not a final value.  The steps: :meth:`resolve`; if
+    still pending, :meth:`task`, run, then :meth:`record` (or
+    :meth:`error`); a twin takes the result with :meth:`share`.
+    ``value``, ``from_cache`` and ``coalesced`` hold the outcome.
     """
-    if not pending:
-        return
-    tasks = []
-    for item in pending:
-        built = job(item)
-        if not isinstance(built, PoolTask):
-            fn, worker, *args = built
-            built = PoolTask(fn=fn, worker=worker, args=tuple(args))
-        tasks.append((item, built))
-    if pool is not None or (n_workers is not None and n_workers > 1):
-        owned = pool is None
-        pool = pool if pool is not None else WorkerPool(n_workers)
-        try:
-            pool.execute(tasks, record=record, error=error)
-        finally:
-            if owned:
-                pool.close()
-    else:
-        for item, built in tasks:
+
+    __slots__ = ("planned", "worker", "rule", "broadcast", "scenario",
+                 "label", "value", "state", "resumed_units", "from_cache",
+                 "coalesced")
+
+    def __init__(self, planned: PlannedPoint, worker: Any, rule: Any = None,
+                 broadcast: Optional[str] = None,
+                 scenario: Optional[str] = None,
+                 label: Optional[str] = None) -> None:
+        self.planned = planned
+        self.worker = worker
+        self.rule = rule
+        self.broadcast = broadcast
+        self.scenario = scenario
+        self.label = label
+        self.value: Any = None
+        self.state: Any = None           # adaptive resume state
+        self.resumed_units = 0           # adaptive: units resumed from store
+        self.from_cache = False          # served from pre-existing store
+        self.coalesced = False           # served from a twin's computation
+
+    def resolve(self, store: RunStore) -> bool:
+        """Serve the point from ``store`` if it can; True when done.
+
+        A stored ``None`` is a hit like any other value.  A miss costs
+        one ``in`` (no exception on the cold path); an entry removed by
+        another process between that check and the ``get`` is a miss
+        too.  An adaptive point decodes the stored tally (or fresh
+        state) and is done only when that tally already satisfies its
+        rule.
+        """
+        stored, hit = None, False
+        key = self.planned.store_key
+        if key is not None and key in store:
             try:
-                value = built.fn(built.worker, *built.args)
+                stored, hit = store.get(key), True
+            except KeyError:
+                pass
+        if self.rule is None:
+            self.value = stored
+        else:
+            worker = self.worker
+            self.state = worker.decode(stored)
+            self.resumed_units = int(worker.progress(self.state))
+            hit = hit and bool(worker.satisfied(self.state, self.rule))
+            if hit:
+                self.value = worker.finalize(self.planned.params, self.state)
+        self.from_cache = hit
+        return hit
+
+    def task(self) -> PoolTask:
+        """The point's computation as a picklable pool task."""
+        planned = self.planned
+        if self.rule is None:
+            return PoolTask(fn=_evaluate_point, worker=self.worker,
+                            args=(planned.params, planned.seed_sequence),
+                            broadcast_key=self.broadcast)
+        return PoolTask(fn=_advance_point, worker=self.worker,
+                        args=(planned.params, self.state,
+                              planned.seed_sequence, self.rule),
+                        broadcast_key=self.broadcast)
+
+    def record(self, store: RunStore, result: Any) -> None:
+        """Keep a computed ``result``, storing it first when cacheable.
+
+        The value is written and read back through the store
+        (:func:`~repro.core.store.store_and_canonicalize`), so cold and
+        warm runs see the identical representation.  An adaptive
+        ``result`` is the advanced state: its encoding is stored (the
+        upgradable asset), decoded back and finalized into ``value``.
+        """
+        key = self.planned.store_key
+        if self.rule is None:
+            self.value = result if key is None else store_and_canonicalize(
+                store, key, result)
+            return
+        worker = self.worker
+        if key is not None:
+            result = worker.decode(store_and_canonicalize(
+                store, key, worker.encode(result)))
+        self.state = result
+        self.value = worker.finalize(self.planned.params, result)
+
+    def share(self, primary: "Point") -> None:
+        """Take the result of a twin that computed the same thing."""
+        self.value = primary.value
+        self.state = primary.state
+        self.coalesced = True
+
+    def coalesce_key(self) -> Optional[str]:
+        """Identity of the point's computation (``None``: unshareable).
+
+        The store key — with, for an adaptive point, its stopping rule
+        appended: two targets over one stored tally advance it
+        differently, while equal targets compute the same thing.
+        """
+        key = self.planned.store_key
+        if key is None or self.rule is None:
+            return key
+        return f"{key}#rule:{content_hash(self.rule)}"
+
+    def error(self, exc: BaseException) -> SweepPointError:
+        """The :class:`SweepPointError` for ``exc`` raised at this point."""
+        message = f"sweep point {self.planned.params!r} failed: {exc}"
+        if self.label is not None:
+            message = f"campaign entry {self.label!r}: {message}"
+        error = SweepPointError(message, params=self.planned.params)
+        return error if self.scenario is None \
+            else error.with_scenario(self.scenario)
+
+    def adaptive(self) -> Optional[Dict[str, Any]]:
+        """Precision provenance of an adaptive point, else ``None``:
+        resumed / newly simulated / total work units and whether the
+        rule is satisfied."""
+        if self.rule is None:
+            return None
+        total = int(self.worker.progress(self.state))
+        return {"resumed_units": self.resumed_units,
+                "new_units": total - self.resumed_units,
+                "total_units": total,
+                "satisfied": bool(self.worker.satisfied(self.state,
+                                                        self.rule))}
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The point's row of a scenario result."""
+        return {"params": to_plain(self.planned.params),
+                "value": to_plain(self.value),
+                "spawn_key": list(self.planned.spawn_key)}
+
+
+def run_points(points: Sequence[Point], store: RunStore,
+               pool: Optional[WorkerPool] = None) -> None:
+    """Compute pending points, recording each into ``store``.
+
+    The shared back half of :class:`SweepEngine` and the campaign
+    runner.  Without a ``pool`` the points run serially; with one, as
+    fail-fast :meth:`~repro.core.pool.WorkerPool.execute` batches.
+    Either way each completion is recorded as it arrives (an
+    interrupted run resumes from what finished), and the first worker
+    exception — queued work cancelled, in-flight work killed —
+    re-raises as the failing point's :meth:`Point.error`.
+
+    On a pool of more than one process, an adaptive point whose worker
+    exposes the shard protocol advances in rounds instead: each round
+    splits its next batch indices across the pool, and the returned
+    per-batch deltas are replayed in index order against ``satisfied``
+    — the serial advance loop's exact check-then-batch sequence — so
+    its state is byte-identical to a serial run, with overshoot
+    discarded (see :meth:`SweepEngine.sweep_adaptive`).  The first
+    round rides in the batch of the whole-point tasks, at the point's
+    place in ``points``, so it keeps its turn and the pool installs
+    every worker in one generation; each later round is one batch of
+    every point still unsatisfied.  A sharded point is recorded after
+    every round (an interrupted deep point resumes mid-way), and the
+    canonicalized (store round-tripped) state the record keeps makes
+    replay and storage representations identical.
+    """
+    if pool is None:
+        for point in points:
+            task = point.task()
+            try:
+                result = task.fn(task.worker, *task.args)
             except Exception as exc:
-                raise error(item, exc) from exc
-            record(item, value)
+                raise point.error(exc) from exc
+            point.record(store, result)
+        return
+    n_shards = pool.n_workers
+    ramp: Dict[Point, int] = {}          # sharded point -> batches/shard
+    tasks: List[Tuple[Tuple[Point, Optional[int]], PoolTask]] = []
+    for point in points:
+        if point.rule is None or n_shards < 2 or not all(
+                callable(getattr(point.worker, name, None))
+                for name in ("cursor", "advance_shard", "absorb")):
+            tasks.append(((point, None), point.task()))
+        elif point.worker.satisfied(point.state, point.rule):
+            point.record(store, point.state)
+        else:
+            ramp[point] = 1
+            tasks.extend(_shard_tasks(point, ramp[point], n_shards))
+    deltas: Dict[Tuple[Point, int], List[Any]] = {}
+
+    def record(task_id: Tuple[Point, Optional[int]], result: Any) -> None:
+        point, shard = task_id
+        if shard is None:
+            point.record(store, result)
+        else:
+            deltas[task_id] = result
+
+    while tasks:
+        pool.execute(tasks, record=record,
+                     error=lambda task_id, exc: task_id[0].error(exc))
+        tasks = []
+        for point in list(ramp):
+            worker, rule, state = point.worker, point.rule, point.state
+            for delta in [delta for shard in range(n_shards)
+                          for delta in deltas[(point, shard)]]:
+                if worker.satisfied(state, rule):
+                    break
+                state = worker.absorb(state, delta)
+            point.record(store, state)
+            if worker.satisfied(point.state, rule):
+                del ramp[point]
+            else:
+                ramp[point] = min(2 * ramp[point], 8)
+                tasks.extend(_shard_tasks(point, ramp[point], n_shards))
+
+
+def _shard_tasks(point: Point, ramp: int, n_shards: int
+                 ) -> List[Tuple[Tuple[Point, int], PoolTask]]:
+    """One sharded round of ``point``: ``n_shards`` tasks over its next
+    consecutive batch indices, ``ramp`` batches per shard at most.
+
+    Rounds ramp geometrically (1, 2, 4, ... batches per shard) so a
+    deep point amortizes dispatch while a shallow one overshoots at
+    most one small round — overshot batches are discarded by the
+    replay, so they only cost compute, never correctness.  When the
+    rule carries a ``max_units`` cap, the observed units-per-batch
+    rate bounds the round to roughly the batches still needed.
+    """
+    worker, state = point.worker, point.state
+    start = int(worker.cursor(state))
+    per = int(ramp)
+    max_units = getattr(point.rule, "max_units", None)
+    if max_units is not None and start > 0:
+        done = int(worker.progress(state))
+        if 0 < done < max_units:
+            per_batch = max(1, done // start)
+            needed = -(-(int(max_units) - done) // per_batch)
+            per = min(per, max(1, -(-needed // n_shards)))
+    return [((point, shard), PoolTask(
+        fn=_advance_shard, worker=worker,
+        args=(point.planned.params, point.planned.seed_sequence,
+              list(range(start + shard * per, start + (shard + 1) * per))),
+        broadcast_key=point.broadcast)) for shard in range(n_shards)]
 
 
 class SweepEngine:
@@ -344,10 +547,6 @@ class SweepEngine:
     # ------------------------------------------------------------------
     # dispatch backend
     # ------------------------------------------------------------------
-    @property
-    def _parallel(self) -> bool:
-        return self.n_workers is not None and self.n_workers > 1
-
     def _ensure_pool(self) -> Optional[WorkerPool]:
         """The engine's warm :class:`~repro.core.pool.WorkerPool`.
 
@@ -357,7 +556,7 @@ class SweepEngine:
         itself handles fork-safety and re-creation after a fast-fail
         abort.
         """
-        if not self._parallel:
+        if self.n_workers is None or self.n_workers < 2:
             return None
         if self._pool is None:
             self._pool = WorkerPool(self.n_workers)
@@ -393,40 +592,28 @@ class SweepEngine:
         self.store.clear()
 
     # ------------------------------------------------------------------
-    def _run_pending(self, worker: SweepWorker, plan: Sequence[PlannedPoint],
-                     pending: Sequence[int],
-                     key: Any = None) -> Dict[int, Any]:
-        """Evaluate the pending plan indices, storing each completion.
-
-        Every finished point is written to the store immediately, so an
-        interrupted run (crash, Ctrl-C, killed pool) resumes from the
-        points that already completed.  The first worker exception — on
-        either execution path — cancels outstanding futures and
-        re-raises as :class:`SweepPointError` naming the failing point.
-        """
-        values: Dict[int, Any] = {}
-
-        def record(index: int, value: Any) -> None:
-            store_key = plan[index].store_key
-            if store_key is not None:
-                value = store_and_canonicalize(self.store, store_key, value)
-            values[index] = value
-
+    def _sweep(self, worker: Any, points: Iterable[Mapping[str, Any]],
+               rule: Any, rng: RngLike, key: Any) -> List[SweepOutcome]:
+        """The one body of :meth:`sweep` (``rule=None``) and
+        :meth:`sweep_adaptive`: plan, resolve every point against the
+        store, run the pending ones (each stored as it completes), and
+        report them all in point order."""
+        pool = self._ensure_pool()
         broadcast = broadcast_key_for(worker, key=key) \
-            if self._parallel else None
-        execute_pending(
-            pending,
-            job=lambda index: PoolTask(
-                fn=_evaluate_point, worker=worker,
-                args=(plan[index].params, plan[index].seed_sequence),
-                broadcast_key=broadcast),
-            record=record,
-            error=lambda index, exc: SweepPointError(
-                f"sweep point {plan[index].params!r} failed: {exc}",
-                params=plan[index].params),
-            n_workers=self.n_workers,
-            pool=self._ensure_pool())
-        return values
+            if pool is not None else None
+        swept = [Point(planned, worker, rule=rule, broadcast=broadcast)
+                 for planned in plan_sweep(worker, points, rng=rng, key=key,
+                                           cacheable=self.cache_enabled)]
+        pending = [point for point in swept if not point.resolve(self.store)]
+        run_points(pending, self.store, pool)
+        self._misses += len(pending)
+        self._hits += len(swept) - len(pending)
+        return [SweepOutcome(params=dict(point.planned.params),
+                             value=point.value,
+                             spawn_key=point.planned.spawn_key,
+                             from_cache=point.from_cache,
+                             adaptive=point.adaptive())
+                for point in swept]
 
     # ------------------------------------------------------------------
     def sweep(self, worker: SweepWorker, points: Iterable[Mapping[str, Any]],
@@ -455,39 +642,7 @@ class SweepEngine:
         -------
         list of :class:`SweepOutcome`, in point order.
         """
-        plan = plan_sweep(worker, points, rng=rng, key=key,
-                          cacheable=self.cache_enabled)
-        pending = [index for index, planned in enumerate(plan)
-                   if planned.store_key is None
-                   or planned.store_key not in self.store]
-        values = self._run_pending(worker, plan, pending, key=key)
-        self._misses += len(pending)
-
-        outcomes: List[SweepOutcome] = []
-        for index, planned in enumerate(plan):
-            if index in values:
-                value = values[index]
-                from_cache = False
-            else:
-                try:
-                    value = self.store.get(planned.store_key)
-                    self._hits += 1
-                    from_cache = True
-                except KeyError:
-                    # The entry vanished between planning and now (e.g.
-                    # `cache clear` from another process): recompute the
-                    # point instead of aborting the sweep.
-                    value = _evaluate_point(worker, planned.params,
-                                            planned.seed_sequence)
-                    value = store_and_canonicalize(
-                        self.store, planned.store_key, value)
-                    self._misses += 1
-                    from_cache = False
-            outcomes.append(SweepOutcome(params=dict(planned.params),
-                                         value=value,
-                                         spawn_key=planned.spawn_key,
-                                         from_cache=from_cache))
-        return outcomes
+        return self._sweep(worker, points, None, rng, key)
 
     def sweep_values(self, worker: SweepWorker,
                      points: Iterable[Mapping[str, Any]],
@@ -560,162 +715,4 @@ class SweepEngine:
                 raise TypeError(
                     f"adaptive sweep worker {worker!r} lacks the "
                     f"incremental-evaluation method {method!r}")
-        plan = plan_sweep(worker, points, rng=rng, key=key,
-                          cacheable=self.cache_enabled)
-        states: Dict[int, Any] = {}
-        resumed_units: Dict[int, int] = {}
-        pending: List[int] = []
-        for index, planned in enumerate(plan):
-            stored = None
-            if planned.store_key is not None:
-                try:
-                    stored = self.store.get(planned.store_key)
-                except KeyError:
-                    stored = None
-            state = worker.decode(stored)
-            states[index] = state
-            resumed_units[index] = int(worker.progress(state))
-            if stored is not None and worker.satisfied(state, rule):
-                continue  # the stored state already meets the target
-            pending.append(index)
-
-        def record(index: int, state: Any) -> None:
-            store_key = plan[index].store_key
-            if store_key is not None:
-                # Persist the *state* (the upgradable asset), then decode
-                # it back through the store so cold and warm runs see the
-                # identical representation.
-                stored = store_and_canonicalize(self.store, store_key,
-                                                worker.encode(state))
-                state = worker.decode(stored)
-            states[index] = state
-
-        broadcast = broadcast_key_for(worker, key=key) \
-            if self._parallel else None
-
-        def point_error(index: int, exc: Exception) -> SweepPointError:
-            return SweepPointError(
-                f"adaptive sweep point {plan[index].params!r} failed: "
-                f"{exc}", params=plan[index].params)
-
-        if pending and self._parallel and _shard_capable(worker):
-            self._advance_sharded(worker, plan, states, pending, rule,
-                                  record, point_error, broadcast)
-        else:
-            execute_pending(
-                pending,
-                job=lambda index: PoolTask(
-                    fn=_advance_point, worker=worker,
-                    args=(plan[index].params, states[index],
-                          plan[index].seed_sequence, rule),
-                    broadcast_key=broadcast),
-                record=record,
-                error=point_error,
-                n_workers=self.n_workers,
-                pool=self._ensure_pool())
-        pending_set = set(pending)
-        self._misses += len(pending)
-        self._hits += len(plan) - len(pending)
-
-        outcomes: List[SweepOutcome] = []
-        for index, planned in enumerate(plan):
-            state = states[index]
-            total = int(worker.progress(state))
-            adaptive = {
-                "resumed_units": resumed_units[index],
-                "new_units": total - resumed_units[index],
-                "total_units": total,
-                "satisfied": bool(worker.satisfied(state, rule)),
-            }
-            outcomes.append(SweepOutcome(
-                params=dict(planned.params),
-                value=worker.finalize(planned.params, state),
-                spawn_key=planned.spawn_key,
-                from_cache=index not in pending_set,
-                adaptive=adaptive))
-        return outcomes
-
-    # ------------------------------------------------------------------
-    def _shard_round_batches(self, worker: Any, state: Any, rule: Any,
-                             ramp: int) -> int:
-        """Batches per shard for one point's next sharded round.
-
-        Rounds ramp geometrically (1, 2, 4, ... batches per shard) so a
-        deep point amortizes dispatch while a shallow one overshoots at
-        most one small round — overshot batches are discarded by the
-        replay, so they only cost compute, never correctness.  When the
-        rule carries a ``max_units`` cap, the observed units-per-batch
-        rate bounds the round to roughly the batches still needed.
-        """
-        per = int(ramp)
-        max_units = getattr(rule, "max_units", None)
-        cursor = int(worker.cursor(state))
-        if max_units is not None and cursor > 0:
-            done = int(worker.progress(state))
-            if 0 < done < max_units:
-                per_batch = max(1, done // cursor)
-                needed = -(-(int(max_units) - done) // per_batch)
-                per = min(per, max(1, -(-needed // self.n_workers)))
-        return max(1, per)
-
-    def _advance_sharded(self, worker: Any, plan: Sequence[PlannedPoint],
-                         states: Dict[int, Any], pending: Sequence[int],
-                         rule: Any, record: Callable[[int, Any], None],
-                         error: Callable[[int, Exception], SweepPointError],
-                         broadcast: Optional[str]) -> None:
-        """Advance pending adaptive points by sharding batch indices.
-
-        Each round, every unsatisfied point contributes ``n_workers``
-        shard tasks covering consecutive upcoming batch indices; the
-        returned per-batch deltas are replayed in index order against
-        ``worker.satisfied`` — the serial advance loop's exact
-        check-then-batch sequence — so the resulting state is
-        byte-identical to a serial run, with overshoot discarded.
-        ``record`` persists every point's state after each round
-        (durability: an interrupted deep point resumes mid-way), and the
-        canonicalized (store round-tripped) state it writes back keeps
-        replay and storage representations identical.
-        """
-        pool = self._ensure_pool()
-        n_shards = self.n_workers
-        active: List[int] = []
-        for index in pending:
-            if worker.satisfied(states[index], rule):
-                record(index, states[index])
-            else:
-                active.append(index)
-        ramp = {index: 1 for index in active}
-        while active:
-            tasks: List[Tuple[Tuple[int, int], PoolTask]] = []
-            for index in active:
-                start = int(worker.cursor(states[index]))
-                per = self._shard_round_batches(worker, states[index],
-                                                rule, ramp[index])
-                for shard in range(n_shards):
-                    low = start + shard * per
-                    tasks.append((
-                        (index, shard),
-                        PoolTask(fn=_advance_shard, worker=worker,
-                                 args=(plan[index].params,
-                                       plan[index].seed_sequence,
-                                       list(range(low, low + per))),
-                                 broadcast_key=broadcast)))
-            results: Dict[Tuple[int, int], List[Any]] = {}
-            pool.execute(
-                tasks,
-                record=lambda task_id, value: results.__setitem__(task_id,
-                                                                  value),
-                error=lambda task_id, exc: error(task_id[0], exc))
-            remaining: List[int] = []
-            for index in active:
-                deltas = [delta for shard in range(n_shards)
-                          for delta in results[(index, shard)]]
-                for delta in deltas:
-                    if worker.satisfied(states[index], rule):
-                        break
-                    states[index] = worker.absorb(states[index], delta)
-                record(index, states[index])
-                if not worker.satisfied(states[index], rule):
-                    ramp[index] = min(2 * ramp[index], 8)
-                    remaining.append(index)
-            active = remaining
+        return self._sweep(worker, points, rule, rng, key)

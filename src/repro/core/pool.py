@@ -56,6 +56,11 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.utils.hashing import content_hash, worker_cache_key
 
+#: How many distinct broadcast blobs a pool keeps pinned (LRU).  Each new
+#: generation installs the whole retained set, so alternating between up
+#: to this many workers never churns the pool.
+MAX_BROADCASTS = 8
+
 #: Worker-process-local cache of broadcast objects, filled once per pool
 #: generation by :func:`_install_broadcasts` (the executor initializer)
 #: when the process spawns.  Maps broadcast key -> the unpickled object.
@@ -172,27 +177,25 @@ class WorkerPool:
     ----------
     n_workers:
         Number of worker processes.
-    max_broadcasts:
-        How many distinct broadcast blobs to keep pinned (LRU).  Each
-        new generation installs the whole retained set, so alternating
-        between up to this many workers never churns the pool.
 
-    Use :meth:`execute` for batches with fail-fast semantics (the
+    The pool keeps the latest :data:`MAX_BROADCASTS` broadcast workers
+    pinned.  Use :meth:`execute` for batches with fail-fast semantics (the
     engine and campaign paths) and :meth:`run_one` for independent
     single tasks (the service's dispatcher threads).  ``close()`` — or
     the context manager — releases the processes.
     """
 
-    def __init__(self, n_workers: int, max_broadcasts: int = 8) -> None:
+    def __init__(self, n_workers: int) -> None:
         if n_workers is None or int(n_workers) < 1:
             raise ValueError("n_workers must be at least 1")
         self.n_workers = int(n_workers)
-        self.max_broadcasts = int(max_broadcasts)
         self._lock = threading.RLock()
         self._executor: Optional[ProcessPoolExecutor] = None
         self._pid = os.getpid()
         self._blobs: "OrderedDict[str, bytes]" = OrderedDict()
         self._live: frozenset = frozenset()
+        # Manager threads of retired generations, joined by close().
+        self._retired: List[Any] = []
         self._counters = {"generation": 0, "broadcasts": 0,
                           "broadcast_hits": 0, "tasks": 0, "chunks": 0,
                           "max_chunk_size": 0}
@@ -211,11 +214,7 @@ class WorkerPool:
         queued ones).  The pool remains usable — the next task lazily
         creates a fresh generation — so closing between bursts of work
         is a way to give the memory back."""
-        with self._lock:
-            executor, self._executor = self._executor, None
-            self._live = frozenset()
-        if executor is not None:
-            executor.shutdown(wait=True, cancel_futures=True)
+        self._shutdown(kill=False)
 
     def _abort(self) -> None:
         """Fast-fail teardown: cancel queued work, kill running work.
@@ -224,21 +223,35 @@ class WorkerPool:
         not started; a long-running point would still pin the caller (and
         interpreter exit) for its full duration, so the worker processes
         are terminated outright — they hold no shared state, every
-        completed value was already recorded in the parent.  The warm
-        pool is sacrificed; the next task re-creates it.
+        completed value was already recorded in the parent.  The
+        executor's manager thread, captured before ``shutdown`` drops
+        it, then reaps the terminated processes; joining it means no
+        worker process outlives the abort.  The warm pool is sacrificed;
+        the next task re-creates it.
         """
+        self._shutdown(kill=True)
+
+    def _shutdown(self, kill: bool) -> None:
+        """Shut the executor down — draining running tasks, or with
+        ``kill`` terminating them — and join the manager threads of it
+        and of every retired generation, which reap their processes."""
         with self._lock:
             executor, self._executor = self._executor, None
             self._live = frozenset()
-        if executor is None:
-            return
-        processes = dict(getattr(executor, "_processes", None) or {})
-        executor.shutdown(wait=False, cancel_futures=True)
-        for process in processes.values():
-            try:
-                process.terminate()
-            except Exception:
-                pass
+            managers, self._retired = self._retired, []
+        if executor is not None:
+            processes = dict(getattr(executor, "_processes", None) or {})
+            managers.append(getattr(executor, "_executor_manager_thread",
+                                    None))
+            executor.shutdown(wait=not kill, cancel_futures=True)
+            for process in processes.values() if kill else ():
+                try:
+                    process.terminate()
+                except Exception:
+                    pass
+        for manager in managers:
+            if manager is not None:
+                manager.join()
 
     def _ensure_executor(self, keys: Sequence[str]) -> ProcessPoolExecutor:
         """The live executor, with every key in ``keys`` installed.
@@ -263,7 +276,12 @@ class WorkerPool:
             return executor
         if executor is not None:
             # Graceful retirement: in-flight futures (other threads may
-            # hold some) run to completion on the old processes.
+            # hold some) run to completion on the old processes, whose
+            # manager thread close() joins.
+            self._retired = [thread for thread in self._retired
+                             if thread is not None and thread.is_alive()]
+            self._retired.append(getattr(executor,
+                                         "_executor_manager_thread", None))
             executor.shutdown(wait=False)
         blobs = dict(self._blobs)
         self._executor = ProcessPoolExecutor(
@@ -291,7 +309,7 @@ class WorkerPool:
                 # An unpicklable worker fails exactly like it did when it
                 # was pickled per point: as this task's failure.
                 raise error(task_id, exc) from exc
-            while len(self._blobs) > self.max_broadcasts:
+            while len(self._blobs) > MAX_BROADCASTS:
                 self._blobs.popitem(last=False)
 
     # ------------------------------------------------------------------
@@ -309,7 +327,7 @@ class WorkerPool:
         """Wire format of one task (lock held; executor ensured).
 
         A task whose key failed to stay live (evicted past
-        ``max_broadcasts`` within one batch) degrades to inline
+        :data:`MAX_BROADCASTS` within one batch) degrades to inline
         shipping rather than failing in the worker.
         """
         key = task.broadcast_key if task.broadcast_key in self._live \

@@ -63,9 +63,10 @@ class RunStore(Protocol):
 def store_and_canonicalize(store: "RunStore", key: str, value: Any) -> Any:
     """Write ``value`` under ``key`` and serve it back through the store.
 
-    The shared write idiom of the sweep engine and the campaign runner:
-    returning ``store.get(key)`` after a successful put means cold and
-    warm runs see the identical value representation (a DiskStore JSON
+    The write step of every computed point
+    (:meth:`repro.core.engine.Point.record`): returning
+    ``store.get(key)`` after a successful put means cold and warm runs
+    see the identical value representation (a DiskStore JSON
     round-trip turns tuples into lists and non-string dict keys into
     strings — that must not depend on which run computed the point).
     A value the store cannot represent (``TypeError``) is returned

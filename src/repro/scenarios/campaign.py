@@ -5,12 +5,18 @@ built programmatically, from the whole registry
 (:meth:`Campaign.from_registry`), or from a plain-dict/JSON campaign file
 (:meth:`Campaign.from_dict` / :meth:`Campaign.from_file`) — and executes
 *all* points from *all* scenarios through **one** shared
-:class:`~concurrent.futures.ProcessPoolExecutor`.  Points are interleaved
-round-robin across scenarios, so a short sweep never serializes behind a
-long one, and every completed point is written to the campaign's
-:class:`repro.core.store.RunStore` immediately — an interrupted campaign
-re-run against the same :class:`~repro.core.store.DiskStore` resumes from
-whatever already finished.
+:class:`~repro.core.pool.WorkerPool`.  Every point follows the engine's
+one lifecycle (:class:`repro.core.engine.Point`): resolved against the
+store, coalesced with any twin entry that computes the same thing, run
+by :func:`repro.core.engine.run_points` — which shards deep adaptive
+points across a multi-process pool exactly as
+:class:`~repro.core.engine.SweepEngine` does — and recorded.  Points are
+interleaved round-robin across scenarios, so a short sweep never
+serializes behind a long one, and every completed point is written to
+the campaign's :class:`repro.core.store.RunStore` immediately — an
+interrupted campaign re-run against the same
+:class:`~repro.core.store.DiskStore` resumes from whatever already
+finished.
 
 The outcome is a :class:`CampaignResult`: one
 :class:`~repro.scenarios.result.ScenarioResult` per entry plus aggregate
@@ -25,6 +31,7 @@ The zero-code surface is ``python -m repro run-all [--store DIR]
 from __future__ import annotations
 
 import fnmatch
+import itertools
 import json
 import time
 from dataclasses import dataclass, field
@@ -33,16 +40,9 @@ from typing import (Any, Dict, Iterator, List, Mapping, Optional, Sequence,
 
 import numpy as np
 
-from repro.core.engine import (
-    PlannedPoint,
-    SweepPointError,
-    _advance_point,
-    _evaluate_point,
-    execute_pending,
-    plan_sweep,
-)
-from repro.core.pool import PoolTask, WorkerPool, broadcast_key_for
-from repro.core.store import MemoryStore, RunStore, store_and_canonicalize
+from repro.core.engine import Point, plan_sweep, run_points
+from repro.core.pool import WorkerPool, broadcast_key_for
+from repro.core.store import MemoryStore, RunStore
 from repro.scenarios.registry import build_scenario, scenario_names
 from repro.scenarios.result import ScenarioResult
 from repro.scenarios.scenario import Scenario
@@ -104,15 +104,6 @@ class CampaignEntry:
         the campaign runner and the campaign service alike.
         """
         return build_scenario(self.scenario, self.overrides)
-
-
-@dataclass(frozen=True)
-class _Task:
-    """One schedulable point: which entry, which point, how to seed it."""
-
-    entry_index: int
-    point_index: int
-    planned: PlannedPoint
 
 
 class Campaign:
@@ -208,8 +199,9 @@ class Campaign:
         :class:`~repro.core.store.DiskStore` resumes instead of starting
         over.  Pending points are interleaved round-robin across
         scenarios before submission, so short sweeps finish early instead
-        of queueing behind long ones; entries that share store keys (the
-        same scenario under two labels) are computed once and fanned out,
+        of queueing behind long ones; entries that compute the same thing
+        (the same scenario under two labels — for an adaptive scenario,
+        at an equal precision target) are computed once and fanned out,
         reported as ``shared_points`` — distinct from ``cache_hits``,
         which only counts pre-existing store content.
 
@@ -217,218 +209,80 @@ class Campaign:
         :class:`~repro.core.pool.WorkerPool`: each scenario's worker is
         broadcast to the pool once (per-point messages carry only the
         broadcast key, params and seed state) and cheap points are
-        submitted in chunks.  Pass a caller-owned warm ``pool`` to reuse
-        its processes and broadcasts across campaign runs; otherwise an
-        ephemeral pool lives for this call.  The pool's dispatch
-        counters land in the result's ``execution["dispatch"]`` block.
+        submitted in chunks; on more than one process, deep adaptive
+        points are sharded across the pool, byte-identical to serial.
+        Pass a caller-owned warm ``pool`` to reuse its processes and
+        broadcasts across campaign runs; otherwise an ephemeral pool
+        lives for this call.  The pool's dispatch counters land in the
+        result's ``execution["dispatch"]`` block.
         """
         if n_workers is not None and n_workers < 1:
             raise ValueError("n_workers must be at least 1")
         store = store if store is not None else MemoryStore()
         scenarios = self.build_scenarios()
         started = time.perf_counter()
-        parallel = pool is not None or (n_workers is not None
-                                        and n_workers > 1)
-        broadcasts = [broadcast_key_for(scenario.worker,
-                                        key=scenario.cache_key())
-                      if parallel else None
-                      for scenario in scenarios]
-
-        tasks: List[_Task] = []
-        for entry_index, (entry, scenario) in enumerate(
-                zip(self.entries, scenarios)):
-            planned = plan_sweep(scenario.worker, scenario.points,
-                                 rng=entry.seed, key=scenario.cache_key())
-            tasks.extend(
-                _Task(entry_index=entry_index, point_index=point_index,
-                      planned=point)
-                for point_index, point in enumerate(planned))
-
-        # One stopping rule per entry; non-None marks the entry adaptive
-        # (its scenario carries a PrecisionSpec and an incremental
-        # worker) — such points resume stored tallies instead of being
-        # fixed computations.
-        rules = [scenario.precision.stopping_rule()
-                 if scenario.precision is not None else None
-                 for scenario in scenarios]
-
-        values: Dict[Tuple[int, int], Any] = {}
-        cached: Dict[Tuple[int, int], bool] = {}
-        states: Dict[Tuple[int, int], Any] = {}
-        resumed: Dict[Tuple[int, int], int] = {}
-        pending: List[_Task] = []
-        for task in tasks:
-            slot = (task.entry_index, task.point_index)
-            key = task.planned.store_key
-            cached[slot] = False
-            rule = rules[task.entry_index]
-            if rule is not None:
-                worker = scenarios[task.entry_index].worker
-                stored = None
-                if key is not None:
-                    try:
-                        stored = store.get(key)
-                    except KeyError:
-                        stored = None
-                state = worker.decode(stored)
-                states[slot] = state
-                resumed[slot] = int(worker.progress(state))
-                if stored is not None and worker.satisfied(state, rule):
-                    # The stored tally already meets this entry's target.
-                    values[slot] = worker.finalize(task.planned.params,
-                                                   state)
-                    cached[slot] = True
-                    continue
-                pending.append(task)
-                continue
-            if key is not None:
-                # get, not `in`+get: an entry removed between the two
-                # calls (another process clearing the store) must demote
-                # the point to pending, not abort the campaign.
-                try:
-                    values[slot] = store.get(key)
-                    cached[slot] = True
-                    continue
-                except KeyError:
-                    pass
-            pending.append(task)
-        # Round-robin interleave: the k-th point of every scenario before
-        # the (k+1)-th of any — short sweeps drain early from the shared
-        # pool instead of waiting out the longest scenario.
-        pending.sort(key=lambda task: (task.point_index, task.entry_index))
-        # Entries that describe the same computation (same scenario run
-        # under two labels) share store keys: compute each key once and
-        # fan the value out to every slot that wants it.  Adaptive tasks
-        # stay out of the dedup: two entries sharing a tally key may
-        # carry *different* precision targets, so each advances its own
-        # resume state (same seeds — a same-rule twin redraws identical
-        # batches and stores an identical tally).
-        primaries: List[_Task] = []
-        followers: Dict[str, List[_Task]] = {}
-        for task in pending:
-            key = task.planned.store_key
-            if rules[task.entry_index] is None \
-                    and key is not None and key in followers:
-                followers[key].append(task)
-            else:
-                if rules[task.entry_index] is None and key is not None:
-                    followers[key] = []
-                primaries.append(task)
-
-        shared: Dict[Tuple[int, int], bool] = {}
-
-        def record(task: _Task, value: Any) -> None:
-            slot = (task.entry_index, task.point_index)
-            key = task.planned.store_key
-            rule = rules[task.entry_index]
-            if rule is not None:
-                # ``value`` is the advanced state: persist the tally
-                # (the upgradable asset), decode it back through the
-                # store so cold and warm runs see the identical
-                # representation, then derive the point value.
-                worker = scenarios[task.entry_index].worker
-                state = value
-                if key is not None:
-                    stored = store_and_canonicalize(store, key,
-                                                    worker.encode(state))
-                    state = worker.decode(stored)
-                states[slot] = state
-                values[slot] = worker.finalize(task.planned.params, state)
-                return
-            if key is not None:
-                value = store_and_canonicalize(store, key, value)
-            values[slot] = value
-            for follower in followers.get(key, []) if key else []:
-                follower_slot = (follower.entry_index, follower.point_index)
-                values[follower_slot] = value
-                # Served without computing, but NOT from pre-existing
-                # store content — tracked apart from cache hits so the
-                # campaign stats never claim a cold store was warm.
-                shared[follower_slot] = True
-
-        def job(task: _Task) -> PoolTask:
-            worker = scenarios[task.entry_index].worker
-            rule = rules[task.entry_index]
-            broadcast = broadcasts[task.entry_index]
-            if rule is not None:
-                return PoolTask(
-                    fn=_advance_point, worker=worker,
-                    args=(task.planned.params,
-                          states[(task.entry_index, task.point_index)],
-                          task.planned.seed_sequence, rule),
-                    broadcast_key=broadcast)
-            return PoolTask(fn=_evaluate_point, worker=worker,
-                            args=(task.planned.params,
-                                  task.planned.seed_sequence),
-                            broadcast_key=broadcast)
-
-        def point_error(task: _Task, error: Exception) -> SweepPointError:
-            entry = self.entries[task.entry_index]
-            return SweepPointError(
-                f"campaign entry {entry.label!r} (scenario "
-                f"{entry.scenario!r}) failed at point "
-                f"{task.planned.params!r}: {error}",
-                params=task.planned.params, scenario=entry.scenario)
-
-        owned_pool = pool is None and parallel
+        owned_pool = pool is None and n_workers is not None and n_workers > 1
         if owned_pool:
             pool = WorkerPool(n_workers)
+        rows: List[List[Point]] = []
+        for entry, scenario in zip(self.entries, scenarios):
+            key = scenario.cache_key()
+            broadcast = (broadcast_key_for(scenario.worker, key=key)
+                         if pool is not None else None)
+            # A non-None rule marks the entry adaptive: its points resume
+            # stored tallies instead of being fixed computations.
+            rule = (scenario.precision.stopping_rule()
+                    if scenario.precision is not None else None)
+            rows.append([
+                Point(planned, scenario.worker, rule=rule,
+                      broadcast=broadcast, scenario=scenario.name,
+                      label=entry.label)
+                for planned in plan_sweep(scenario.worker, scenario.points,
+                                          rng=entry.seed, key=key)])
+
+        # Round-robin interleave: the k-th point of every scenario before
+        # the (k+1)-th of any — short sweeps drain early from the shared
+        # pool instead of waiting out the longest scenario.  Pending
+        # points that compute the same thing (one scenario under two
+        # labels) group under their coalesce key: the first computes,
+        # the rest share its result.
+        groups: Dict[Any, List[Point]] = {}
+        for point in itertools.chain.from_iterable(
+                itertools.zip_longest(*rows)):
+            if point is not None and not point.resolve(store):
+                key = point.coalesce_key()
+                groups.setdefault(point if key is None else key,
+                                  []).append(point)
         try:
-            execute_pending(
-                primaries,
-                job=job,
-                record=record,
-                error=point_error,
-                n_workers=n_workers,
-                pool=pool)
+            run_points([group[0] for group in groups.values()], store, pool)
             dispatch = pool.stats() if pool is not None else None
         finally:
             if owned_pool:
                 pool.close()
+        for primary, *twins in groups.values():
+            for twin in twins:
+                twin.share(primary)
         elapsed_s = time.perf_counter() - started
         store_description = store.describe()
 
         results = []
-        for entry_index, (entry, scenario) in enumerate(
-                zip(self.entries, scenarios)):
-            entry_tasks = [task for task in tasks
-                           if task.entry_index == entry_index]
-            entry_tasks.sort(key=lambda task: task.point_index)
-            points = tuple(
-                {"params": to_plain(task.planned.params),
-                 "value": to_plain(
-                     values[(task.entry_index, task.point_index)]),
-                 "spawn_key": list(task.planned.spawn_key)}
-                for task in entry_tasks)
-            # Per-entry provenance: "this entry did not compute the
-            # point itself" — covers both store hits and points shared
-            # from a same-key twin entry computed this run.
-            from_cache = [
-                cached[(task.entry_index, task.point_index)]
-                or shared.get((task.entry_index, task.point_index), False)
-                for task in entry_tasks]
+        for entry, scenario, row in zip(self.entries, scenarios, rows):
             seed = entry.seed if isinstance(entry.seed,
                                             (int, np.integer)) else None
-            rule = rules[entry_index]
-            adaptive = None
-            if rule is not None:
-                adaptive = []
-                for task in entry_tasks:
-                    slot = (task.entry_index, task.point_index)
-                    total = int(scenario.worker.progress(states[slot]))
-                    adaptive.append({
-                        "resumed_units": resumed[slot],
-                        "new_units": total - resumed[slot],
-                        "total_units": total,
-                        "satisfied": bool(scenario.worker.satisfied(
-                            states[slot], rule)),
-                    })
+            # Per-entry provenance: "this entry did not compute the
+            # point itself" — store hits and points shared from a twin.
             results.append(scenario.assemble_result(
-                seed=seed, points=points, from_cache=from_cache,
-                store_info=store_description, adaptive=adaptive))
-        n_points = len(tasks)
-        hits = sum(cached.values())
-        n_shared = sum(shared.values())
+                seed=seed, points=tuple(point.to_dict() for point in row),
+                from_cache=[point.from_cache or point.coalesced
+                            for point in row],
+                store_info=store_description,
+                adaptive=[point.adaptive() for point in row]))
+        n_points = sum(len(row) for row in rows)
+        hits = sum(point.from_cache for row in rows for point in row)
+        # Served without computing, but NOT from pre-existing store
+        # content — counted apart from cache hits so the campaign stats
+        # never claim a cold store was warm.
+        n_shared = sum(point.coalesced for row in rows for point in row)
         execution = {
             "n_scenarios": len(self.entries),
             "n_points": n_points,

@@ -2,23 +2,31 @@
 
 :class:`CampaignService` owns one concurrent-safe
 :class:`repro.core.store.RunStore` and (optionally) one shared
-:class:`~concurrent.futures.ProcessPoolExecutor`, and serves scenario
-submissions decomposed to **point granularity**:
+:class:`~repro.core.pool.WorkerPool`, and serves scenario submissions
+decomposed to **point granularity**.  Every point follows the engine's
+one lifecycle (:class:`repro.core.engine.Point`, held per job as a
+:class:`~repro.service.jobs.PointSlot`), one point per dispatcher:
 
 * **Admission** (:meth:`submit` / :meth:`submit_scenario`) plans the
-  scenario through :func:`repro.core.engine.plan_sweep`; every point
-  whose content-addressed key is already in the store is served
-  immediately (a warm resubmission never enters the queue), every point
-  whose key is already *in flight* joins that computation as a follower
-  (two clients submitting the same spec share one computation), and only
-  genuinely new points are enqueued.
+  scenario through :func:`repro.core.engine.plan_sweep` and resolves
+  every point against the store (:meth:`Point.resolve`): a stored point
+  is served immediately (a warm resubmission never enters the queue), a
+  point whose computation is already *in flight* (same
+  :meth:`Point.coalesce_key`) joins it as a follower (two clients
+  submitting the same spec share one computation), and only genuinely
+  new points are enqueued.
 * **Scheduling** is a priority queue at point granularity: interactive
   submissions rank ahead of bulk campaign sweeps, so an interactive
   request enqueued behind a long campaign starts as soon as the next
-  worker frees up — running points are never interrupted.
+  worker frees up — running points are never interrupted.  Each
+  dispatcher runs one point's :meth:`Point.task` at a time through
+  :meth:`~repro.core.pool.WorkerPool.run_one`, so a failing point fails
+  only its own job and never aborts the pool the other dispatchers
+  share; with ``n_workers`` dispatchers the pool stays busy whenever
+  enough points are queued.
 * **Recording** writes every completed point to the store the moment it
-  finishes (and, for adaptive-precision jobs, persists the upgraded
-  tally), then fans the canonical stored value out to every follower.
+  finishes (:meth:`Point.record`; for adaptive-precision jobs, the
+  upgraded tally), then shares the canonical result with every follower.
 * **Shutdown** (:meth:`shutdown`) stops admission, drains the points
   that are already running — their results and partial tallies are
   persisted like any other completion — and cancels what was still
@@ -29,7 +37,7 @@ exclude the precision target (see :meth:`Scenario.cache_key`), so a
 submission with a tighter :class:`~repro.scenarios.specs.PrecisionSpec`
 resumes the cached tally and simulates only the increment — a cache
 upgrade over HTTP.  Two in-flight adaptive submissions coalesce only
-when their precision targets match; different targets advance their own
+when their stopping rules match; different targets advance their own
 resume states (against the same stored tally).
 
 The HTTP surface lives in :mod:`repro.service.http`; this class is fully
@@ -44,32 +52,15 @@ import threading
 import time
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.core.engine import (
-    SweepPointError,
-    _advance_point,
-    _evaluate_point,
-    plan_sweep,
-)
-from repro.core.pool import PoolTask, WorkerPool, broadcast_key_for
-from repro.core.store import MemoryStore, RunStore, store_and_canonicalize
+from repro.core.engine import plan_sweep
+from repro.core.pool import WorkerPool, broadcast_key_for
+from repro.core.store import MemoryStore, RunStore
 from repro.scenarios.scenario import Scenario
-from repro.service.jobs import PRIORITY_RANKS, Job, parse_request
-from repro.utils.hashing import content_hash
-from repro.utils.serialization import to_plain
+from repro.service.jobs import PRIORITY_RANKS, Job, PointSlot, parse_request
 
 
 class ServiceUnavailable(RuntimeError):
     """The service is draining and no longer accepts submissions."""
-
-
-class _InFlight:
-    """Coalescing record of one queued-or-running computation."""
-
-    __slots__ = ("primary", "followers")
-
-    def __init__(self, primary: Tuple[str, int]) -> None:
-        self.primary = primary                  # (job_id, point_index)
-        self.followers: List[Tuple[str, int]] = []
 
 
 class CampaignService:
@@ -86,7 +77,7 @@ class CampaignService:
         Number of points evaluated concurrently (dispatcher threads,
         and the process-pool size when ``processes=True``).
     processes:
-        Evaluate points in a shared :class:`ProcessPoolExecutor`
+        Evaluate points in a shared :class:`~repro.core.pool.WorkerPool`
         (the daemon default — workers and params must be picklable) or
         inline in the dispatcher threads (``False``; what tests use).
     """
@@ -103,15 +94,18 @@ class CampaignService:
         # message is the broadcast key, params and seed state).
         self._pool: Optional[WorkerPool] = (
             WorkerPool(self.n_workers) if processes else None)
-        self._broadcast_keys: Dict[str, Optional[str]] = {}
         self._lock = threading.Lock()
         self._completion = threading.Condition(self._lock)
-        self._queue: "queue.PriorityQueue[Tuple[int, int, Optional[str], int]]" \
+        # (rank, sequence, job, slot); the unique sequence number means
+        # entries never compare their job or slot.
+        self._queue: "queue.PriorityQueue[Tuple[int, int, Any, Any]]" \
             = queue.PriorityQueue()
         self._seq = itertools.count()
         self._jobs: Dict[str, Job] = {}
         self._job_ids = itertools.count(1)
-        self._in_flight: Dict[str, _InFlight] = {}
+        # Coalesce key -> the queued-or-running computation's slots:
+        # the primary first, then the followers waiting on it.
+        self._in_flight: Dict[str, List[Tuple[Job, PointSlot]]] = {}
         self._busy = 0
         self._accepting = True
         self._started_at = time.time()
@@ -152,13 +146,15 @@ class CampaignService:
         if priority not in PRIORITY_RANKS:
             raise ValueError(f"priority must be one of "
                              f"{sorted(PRIORITY_RANKS)}, got {priority!r}")
-        plan = plan_sweep(scenario.worker, scenario.points, rng=seed,
-                          key=scenario.cache_key())
+        key = scenario.cache_key()
         rule = (scenario.precision.stopping_rule()
                 if scenario.precision is not None else None)
-        broadcast = (broadcast_key_for(scenario.worker,
-                                       key=scenario.cache_key())
+        broadcast = (broadcast_key_for(scenario.worker, key=key)
                      if self._pool is not None else None)
+        slots = [PointSlot(planned, scenario.worker, rule=rule,
+                           broadcast=broadcast, scenario=scenario.name)
+                 for planned in plan_sweep(scenario.worker, scenario.points,
+                                           rng=seed, key=key)]
         with self._lock:
             if not self._accepting:
                 raise ServiceUnavailable(
@@ -167,205 +163,117 @@ class CampaignService:
                       scenario=scenario,
                       label=label or scenario.name, priority=priority,
                       seed=seed if isinstance(seed, int) else None,
-                      plan=plan, rule=rule)
+                      slots=slots)
             self._jobs[job.id] = job
-            self._broadcast_keys[job.id] = broadcast
-            for index, slot in enumerate(job.slots):
-                self._admit_point(job, index)
+            for slot in job.slots:
+                self._admit_point(job, slot)
             job.mark_finished_if_complete()
             return job.descriptor(include_points=False)
 
-    def _inflight_key(self, job: Job, index: int) -> Optional[str]:
-        """Coalescing identity of one point (``None``: never coalesced).
-
-        Fixed-count points coalesce on their store key alone.  Adaptive
-        points additionally fold in the precision target: two clients
-        asking for the same tally at *different* precisions must each
-        advance their own resume state (the tighter one keeps simulating
-        after the looser one is satisfied), while identical targets
-        share one computation like any other point.
-        """
-        key = job.slots[index].planned.store_key
-        if key is None:
-            return None
-        if job.rule is None:
-            return key
-        precision = job.scenario.precision
-        return f"{key}#adaptive:{content_hash(to_plain(precision.to_dict()))}"
-
-    def _admit_point(self, job: Job, index: int) -> None:
+    def _admit_point(self, job: Job, slot: PointSlot) -> None:
         """Serve one point from the store, join an in-flight twin, or
         enqueue it (caller holds the lock)."""
-        slot = job.slots[index]
-        key = slot.planned.store_key
-        stored = None
-        if key is not None:
-            try:
-                stored = self.store.get(key)
-            except KeyError:
-                stored = None
-        if job.rule is not None:
-            worker = job.scenario.worker
-            state = worker.decode(stored)
-            slot.state = state
-            slot.resumed_units = int(worker.progress(state))
-            if stored is not None and worker.satisfied(state, job.rule):
-                slot.value = worker.finalize(slot.planned.params, state)
-                slot.status = "done"
-                slot.from_cache = True
-                self._counters["store_hits"] += 1
-                return
-        elif stored is not None:
-            slot.value = stored
+        if slot.resolve(self.store):
             slot.status = "done"
-            slot.from_cache = True
             self._counters["store_hits"] += 1
             return
-        inkey = self._inflight_key(job, index)
-        if inkey is not None and inkey in self._in_flight:
-            self._in_flight[inkey].followers.append((job.id, index))
-            return
-        if inkey is not None:
-            self._in_flight[inkey] = _InFlight(primary=(job.id, index))
-        self._enqueue(job, index)
+        key = slot.coalesce_key()
+        if key is not None:
+            group = self._in_flight.setdefault(key, [])
+            group.append((job, slot))
+            if len(group) > 1:
+                return
+        self._enqueue(job, slot)
 
-    def _enqueue(self, job: Job, index: int) -> None:
+    def _enqueue(self, job: Job, slot: PointSlot) -> None:
         self._queue.put((PRIORITY_RANKS[job.priority], next(self._seq),
-                         job.id, index))
+                         job, slot))
 
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
     def _dispatch_loop(self) -> None:
         while True:
-            rank, _, job_id, index = self._queue.get()
-            if job_id is None:           # shutdown sentinel (rank -1)
+            rank, _, job, slot = self._queue.get()
+            if job is None:              # shutdown sentinel (rank -1)
                 return
             with self._lock:
-                job = self._jobs[job_id]
                 if job.error is not None or job.cancelled:
-                    self._skip_dead_task(job, index)
+                    self._skip_dead_task(slot)
                     continue
                 job.mark_started()
                 self._busy += 1
-                call = self._build_call(job, index)
+                task = slot.task()
             try:
                 try:
                     if self._pool is not None:
                         # run_one: a point failure stays this point's
                         # failure — the shared pool (and the other
                         # dispatchers' in-flight points) live on.
-                        value = self._pool.run_one(call)
+                        result = self._pool.run_one(task)
                     else:
-                        value = call.fn(call.worker, *call.args)
+                        result = task.fn(task.worker, *task.args)
                 except Exception as exc:
-                    self._record_failure(job, index, exc)
+                    self._record_failure(job, slot, exc)
                 else:
-                    self._record_success(job, index, value)
+                    self._record_success(job, slot, result)
             finally:
                 with self._lock:
                     self._busy -= 1
 
-    def _build_call(self, job: Job, index: int) -> PoolTask:
-        """One point as a :class:`~repro.core.pool.PoolTask`.
-
-        The broadcast key (derived from the scenario's cache key at
-        admission) routes the worker through the pool's one-shot
-        broadcast cache: the first point of a scenario ships the pickled
-        worker, every later point of any job with the same key travels
-        as ``(key, params, seed state)``.
-        """
-        slot = job.slots[index]
-        broadcast = self._broadcast_keys.get(job.id)
-        if job.rule is not None:
-            return PoolTask(fn=_advance_point, worker=job.scenario.worker,
-                            args=(slot.planned.params, slot.state,
-                                  slot.planned.seed_sequence, job.rule),
-                            broadcast_key=broadcast)
-        return PoolTask(fn=_evaluate_point, worker=job.scenario.worker,
-                        args=(slot.planned.params,
-                              slot.planned.seed_sequence),
-                        broadcast_key=broadcast)
-
-    def _skip_dead_task(self, job: Job, index: int) -> None:
+    def _skip_dead_task(self, slot: PointSlot) -> None:
         """A queued point of a failed/cancelled job reached the front:
-        drop it, but never strand followers — promote the first follower
-        to primary and re-enqueue under *its* job's priority (caller
-        holds the lock)."""
-        job.slots[index].status = "skipped"
-        inkey = self._inflight_key(job, index)
-        entry = self._in_flight.get(inkey) if inkey else None
-        if entry is None or entry.primary != (job.id, index):
+        drop it, but never strand followers — promote the first live
+        follower to primary and re-enqueue it under *its* job's priority
+        (caller holds the lock)."""
+        slot.status = "skipped"
+        key = slot.coalesce_key()
+        group = self._in_flight.get(key) if key is not None else None
+        if not group or group[0][1] is not slot:
             return
-        while entry.followers:
-            follower_id, follower_index = entry.followers.pop(0)
-            follower_job = self._jobs[follower_id]
-            if follower_job.error is None and not follower_job.cancelled:
-                entry.primary = (follower_id, follower_index)
-                self._enqueue(follower_job, follower_index)
-                return
-        del self._in_flight[inkey]
+        live = [(job, twin) for job, twin in group[1:]
+                if job.error is None and not job.cancelled]
+        if live:
+            self._in_flight[key] = live
+            self._enqueue(*live[0])
+        else:
+            del self._in_flight[key]
+
+    def _followers(self, slot: PointSlot) -> List[Tuple[Job, PointSlot]]:
+        """End the in-flight computation ``slot`` ran, returning the
+        followers waiting on it (caller holds the lock)."""
+        key = slot.coalesce_key()
+        group = self._in_flight.pop(key, None) if key is not None else None
+        return group[1:] if group else []
 
     # ------------------------------------------------------------------
     # recording
     # ------------------------------------------------------------------
-    def _record_success(self, job: Job, index: int, value: Any) -> None:
+    def _record_success(self, job: Job, slot: PointSlot,
+                        result: Any) -> None:
         with self._lock:
-            slot = job.slots[index]
-            key = slot.planned.store_key
-            if job.rule is not None:
-                worker = job.scenario.worker
-                state = value
-                if key is not None:
-                    # Persist the upgraded tally, then decode it back
-                    # through the store so every consumer (this job, its
-                    # followers, later resumed runs) sees the identical
-                    # canonical representation.
-                    stored = store_and_canonicalize(self.store, key,
-                                                    worker.encode(state))
-                    state = worker.decode(stored)
-                slot.state = state
-                slot.value = worker.finalize(slot.planned.params, state)
-            else:
-                if key is not None:
-                    value = store_and_canonicalize(self.store, key, value)
-                slot.value = value
+            slot.record(self.store, result)
             slot.status = "done"
             self._counters["computed"] += 1
             job.mark_finished_if_complete()
-            inkey = self._inflight_key(job, index)
-            entry = self._in_flight.pop(inkey, None) if inkey else None
-            for follower_id, follower_index in (entry.followers
-                                                if entry else []):
-                follower_job = self._jobs[follower_id]
-                follower_slot = follower_job.slots[follower_index]
-                follower_slot.value = slot.value
-                follower_slot.state = slot.state
-                follower_slot.status = "done"
-                follower_slot.coalesced = True
+            for follower_job, follower in self._followers(slot):
+                follower.share(slot)
+                follower.status = "done"
                 self._counters["coalesced"] += 1
                 follower_job.mark_finished_if_complete()
             self._completion.notify_all()
 
-    def _record_failure(self, job: Job, index: int, exc: Exception) -> None:
+    def _record_failure(self, job: Job, slot: PointSlot,
+                        exc: Exception) -> None:
         with self._lock:
-            slot = job.slots[index]
             slot.status = "failed"
-            error = SweepPointError(
-                f"scenario {job.scenario.name!r} point "
-                f"{slot.planned.params!r} failed: {exc}",
-                params=slot.planned.params, scenario=job.scenario.name)
-            job.error = str(error)
+            job.error = str(slot.error(exc))
             self._counters["failed"] += 1
-            inkey = self._inflight_key(job, index)
-            entry = self._in_flight.pop(inkey, None) if inkey else None
             # An identical computation fails identically: fail the
             # followers too, each attributed to its own job.
-            for follower_id, follower_index in (entry.followers
-                                                if entry else []):
-                follower_job = self._jobs[follower_id]
-                follower_job.slots[follower_index].status = "failed"
-                follower_job.error = str(error)
+            for follower_job, follower in self._followers(slot):
+                follower.status = "failed"
+                follower_job.error = str(follower.error(exc))
             self._completion.notify_all()
 
     # ------------------------------------------------------------------
@@ -477,7 +385,7 @@ class CampaignService:
             self._accepting = False
         if not already_stopped:
             for _ in self._threads:
-                self._queue.put((-1, next(self._seq), None, -1))
+                self._queue.put((-1, next(self._seq), None, None))
         for thread in self._threads:
             thread.join(timeout=timeout)
         if self._pool is not None:

@@ -1,12 +1,13 @@
 """Jobs of the campaign service: requests, per-point slots, lifecycle.
 
 A *job* is one submitted scenario run, decomposed into point-granular
-tasks at admission (:func:`repro.core.engine.plan_sweep` gives every
-point its seed sequence and content-addressed store key).  The daemon
-(:mod:`repro.service.daemon`) mutates jobs only under its own lock; this
-module holds the passive data model plus the request-payload validation,
-so the HTTP layer and tests can reason about job state without touching
-scheduler internals.
+tasks at admission: every point is a :class:`PointSlot` — the engine's
+one point lifecycle (:class:`repro.core.engine.Point`: seed sequence,
+store key, resolve / task / record) plus its scheduling status.  The
+daemon (:mod:`repro.service.daemon`) mutates jobs only under its own
+lock; this module holds the passive data model plus the request-payload
+validation, so the HTTP layer and tests can reason about job state
+without touching scheduler internals.
 
 Lifecycle: ``queued`` → ``running`` → one of ``done`` / ``failed`` /
 ``cancelled``.  A job whose every point is served from the store at
@@ -16,9 +17,9 @@ admission is born ``done`` without ever entering the queue.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, Iterable, Mapping, Optional
 
-from repro.core.engine import PlannedPoint
+from repro.core.engine import Point
 from repro.scenarios.campaign import CampaignEntry
 from repro.scenarios.result import ScenarioResult
 from repro.scenarios.scenario import Scenario
@@ -59,29 +60,14 @@ def parse_request(payload: Mapping[str, Any]) -> "tuple[CampaignEntry, str]":
     return entry, priority
 
 
-class PointSlot:
-    """One point of one job: planning, status and (eventually) a value."""
+class PointSlot(Point):
+    """One point of one job: the point lifecycle plus its status."""
 
-    __slots__ = ("planned", "status", "value", "from_cache", "coalesced",
-                 "state", "resumed_units")
+    __slots__ = ("status",)
 
-    def __init__(self, planned: PlannedPoint) -> None:
-        self.planned = planned
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
         self.status = "pending"          # pending | done | failed | skipped
-        self.value: Any = None
-        self.from_cache = False          # served from pre-existing store
-        self.coalesced = False           # fanned out from a twin in-flight
-        self.state: Any = None           # adaptive resume state
-        self.resumed_units = 0           # adaptive: units resumed from store
-
-    def to_dict(self) -> Dict[str, Any]:
-        entry = {"params": to_plain(self.planned.params),
-                 "value": to_plain(self.value),
-                 "spawn_key": list(self.planned.spawn_key),
-                 "store_key": self.planned.store_key,
-                 "from_cache": bool(self.from_cache),
-                 "coalesced": bool(self.coalesced)}
-        return entry
 
 
 class Job:
@@ -94,14 +80,13 @@ class Job:
 
     def __init__(self, job_id: str, scenario: Scenario, label: str,
                  priority: str, seed: Optional[int],
-                 plan: List[PlannedPoint], rule: Any = None) -> None:
+                 slots: Iterable[PointSlot]) -> None:
         self.id = job_id
         self.scenario = scenario
         self.label = label
         self.priority = priority
         self.seed = seed
-        self.rule = rule                  # non-None marks the job adaptive
-        self.slots = [PointSlot(planned) for planned in plan]
+        self.slots = list(slots)
         self.error: Optional[str] = None
         self.cancelled = False
         self.created_at = time.time()
@@ -170,7 +155,10 @@ class Job:
             "elapsed_s": self.elapsed_s(),
         }
         if include_points:
-            descriptor["points"] = [slot.to_dict() for slot in done]
+            descriptor["points"] = [
+                {**slot.to_dict(), "store_key": slot.planned.store_key,
+                 "from_cache": bool(slot.from_cache),
+                 "coalesced": bool(slot.coalesced)} for slot in done]
             descriptor["pending_params"] = [
                 to_plain(slot.planned.params) for slot in self.slots
                 if slot.status != "done"]
@@ -189,27 +177,10 @@ class Job:
         if self.status != "done":
             raise RuntimeError(f"job {self.id} is {self.status}, "
                                "not done — no result to assemble")
-        points = tuple(
-            {"params": to_plain(slot.planned.params),
-             "value": to_plain(slot.value),
-             "spawn_key": list(slot.planned.spawn_key)}
-            for slot in self.slots)
-        from_cache = [slot.from_cache or slot.coalesced
-                      for slot in self.slots]
-        adaptive = None
-        if self.rule is not None:
-            worker = self.scenario.worker
-            adaptive = []
-            for slot in self.slots:
-                total = int(worker.progress(slot.state))
-                adaptive.append({
-                    "resumed_units": slot.resumed_units,
-                    "new_units": total - slot.resumed_units,
-                    "total_units": total,
-                    "satisfied": bool(worker.satisfied(slot.state,
-                                                       self.rule)),
-                })
         return self.scenario.assemble_result(
-            seed=self.seed, points=points, from_cache=from_cache,
+            seed=self.seed,
+            points=tuple(slot.to_dict() for slot in self.slots),
+            from_cache=[slot.from_cache or slot.coalesced
+                        for slot in self.slots],
             elapsed_s=self.elapsed_s(), store_info=store_info,
-            adaptive=adaptive)
+            adaptive=[slot.adaptive() for slot in self.slots])

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from repro.core import pool as pool_module
 from repro.core.pool import PoolTask, WorkerPool, broadcast_key_for
 
 
@@ -114,11 +115,12 @@ class TestBroadcast:
         assert final["broadcast_hits"] == stats["broadcast_hits"] + 1
         assert results == {1: 3, 2: 20, 5: 15}
 
-    def test_eviction_degrades_to_inline_shipping(self):
-        # max_broadcasts=1 cannot hold both keys; the batch still
-        # completes correctly (evicted key ships its worker inline).
+    def test_eviction_degrades_to_inline_shipping(self, monkeypatch):
+        # A one-blob broadcast cache cannot hold both keys; the batch
+        # still completes correctly (evicted key ships its worker inline).
         other = {"payload": "other", "factor": 10, "fail_at": -1}
-        with WorkerPool(n_workers=1, max_broadcasts=1) as pool:
+        monkeypatch.setattr(pool_module, "MAX_BROADCASTS", 1)
+        with WorkerPool(n_workers=1) as pool:
             results = {}
             tasks = _tasks(_scale, [1], key="a") + \
                 [(2, PoolTask(fn=_scale, worker=other, args=(2,),

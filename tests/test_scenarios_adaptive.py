@@ -182,6 +182,37 @@ class TestAdaptiveCampaign:
         pooled = campaign.run(store=MemoryStore(), n_workers=2)
         assert pooled.results[0].points == serial.results[0].points
 
+    def test_pooled_campaign_shards_adaptive_points(self):
+        # A pooled campaign splits each adaptive point's batches across
+        # the pool (more tasks than points), byte-identical to serial.
+        # The first round rides with the fixed points, so the pool
+        # installs both workers in one generation.
+        campaign = Campaign([
+            CampaignEntry(scenario="coded-ber-adaptive-sweep",
+                          overrides=CHEAP),
+            CampaignEntry(scenario="fig7")])
+        serial = campaign.run(store=MemoryStore())
+        pooled = campaign.run(store=MemoryStore(), n_workers=2)
+        assert pooled.execution["dispatch"]["tasks"] \
+            > pooled.execution["n_points"]
+        assert pooled.execution["dispatch"]["generation"] == 1
+        assert pooled.to_json() == serial.to_json()
+
+    def test_twin_entries_at_one_precision_compute_once(self):
+        # Two entries of one adaptive scenario at one precision compute
+        # the same tallies: the second shares the first's points.
+        campaign = Campaign([
+            CampaignEntry(scenario="coded-ber-adaptive-sweep",
+                          overrides=CHEAP),
+            CampaignEntry(scenario="coded-ber-adaptive-sweep",
+                          label="again", overrides=CHEAP)])
+        result = campaign.run(store=MemoryStore())
+        assert result.execution["cache_misses"] == 5
+        assert result.execution["shared_points"] == 5
+        assert result.results[0].to_json() == result.results[1].to_json()
+        assert result.results[1].execution["precision"]["total_codewords"] \
+            == result.results[0].execution["precision"]["total_codewords"]
+
 
 class TestAdaptiveCli:
     def test_warm_rerun_simulates_zero_new_codewords(self, tmp_path,

@@ -195,6 +195,23 @@ class TestRun:
         assert excinfo.value.params == {"dimensions": "2x2x2"}
         assert isinstance(excinfo.value.__cause__, RuntimeError)
 
+    @pytest.mark.parametrize("n_workers", [None, 2])
+    def test_failing_entry_names_its_label(self, monkeypatch, n_workers):
+        # One scenario under two labels: the error says which entry failed.
+        from repro.core.engine import SweepPointError
+
+        broken = Campaign([
+            CampaignEntry("fig4"),
+            CampaignEntry("fig4", label="quiet",
+                          overrides={"channel.rx_noise_figure_db": 7.0})])
+        scenarios = broken.build_scenarios()
+        scenarios[1].worker = _boom
+        monkeypatch.setattr(broken, "build_scenarios", lambda: scenarios)
+        with pytest.raises(SweepPointError) as excinfo:
+            broken.run(n_workers=n_workers)
+        assert "campaign entry 'quiet'" in str(excinfo.value)
+        assert excinfo.value.scenario == "fig4"
+
     def test_run_all_convenience(self):
         result = run_campaign(only="table1", store=MemoryStore())
         assert result.labels() == ["table1"]

@@ -48,6 +48,17 @@ def _gated_boom(params: Mapping[str, Any], rng: np.random.Generator):
     raise RuntimeError("kaboom")
 
 
+def _gated_boom_if_asked(params: Mapping[str, Any],
+                         rng: np.random.Generator):
+    if params.get("boom"):
+        _gated_boom(params, rng)
+    return _gated_worker(params, rng)
+
+
+def _returns_none(params: Mapping[str, Any], rng: np.random.Generator):
+    return None
+
+
 def _boom_at_one(params: Mapping[str, Any], rng: np.random.Generator):
     if params["x"] == 1:
         raise RuntimeError("kaboom")
@@ -161,6 +172,25 @@ class TestAdmission:
             assert service.result_json(warm["job_id"]) \
                 == service.result_json(cold["job_id"])
 
+    def test_stored_none_is_a_hit_like_any_value(self):
+        # A worker may legitimately return None: once stored, the entry
+        # is served like any other value, as Scenario.run serves it.
+        store = MemoryStore()
+        points = [{"x": 1}, {"x": 2}]
+        with _service(store=store, n_workers=2) as service:
+            cold = service.submit_scenario(
+                _scenario(points, worker=_returns_none), seed=3)
+            assert service.wait(cold["job_id"], timeout=30)["computed"] == 2
+            warm = service.submit_scenario(
+                _scenario(points, worker=_returns_none), seed=3)
+            assert warm["status"] == "done"
+            assert warm["hits"] == 2 and warm["computed"] == 0
+            assert service.result_json(warm["job_id"]) \
+                == service.result_json(cold["job_id"])
+        local = _scenario(points, worker=_returns_none).run(rng=3,
+                                                             store=store)
+        assert local.execution["cache_hits"] == 2
+
     def test_service_result_matches_local_run(self):
         store = MemoryStore()
         with _service(store=store, n_workers=2) as service:
@@ -222,6 +252,23 @@ class TestCoalescing:
             assert service.wait(one["job_id"], timeout=30)["computed"] == 1
             assert service.wait(two["job_id"], timeout=30)["computed"] == 1
         assert _LOG == [1, 1]
+
+    def test_follower_of_a_failed_job_is_promoted(self):
+        # The failing job's queued point leads the computation the twin
+        # job's point waits on; skipping it must hand the computation to
+        # the twin instead of stranding it.
+        with _service(n_workers=1) as service:
+            failing = service.submit_scenario(_scenario(
+                [{"x": 0, "gate": "go", "boom": True}, {"x": 1}],
+                worker=_gated_boom_if_asked), seed=0)
+            twin = service.submit_scenario(_scenario(
+                [{"x": 5}, {"x": 1}], worker=_gated_boom_if_asked), seed=0)
+            _gate("go").set()
+            done = service.wait(twin["job_id"], timeout=30)
+            assert service.job(failing["job_id"])["status"] == "failed"
+        assert done["status"] == "done"
+        assert done["computed"] == 2 and done["coalesced"] == 0
+        assert sorted(_LOG) == [1, 5]
 
     def test_follower_fails_with_the_primary(self):
         points = [{"x": 1, "gate": "go"}]

@@ -41,10 +41,12 @@ kernel-smoke:
 	$(PYTHON) -c "import json; r = json.load(open('BENCH_kernels.json')); \
 		assert r['records'], 'empty benchmark report'"
 
-# Warm-dispatch gate: the persistent worker pool's >=3x repeat-sweep
-# floor over the frozen per-call-pool baseline, plus byte-identical
-# intra-point sharding (the >=2.5x sharded floor additionally needs
-# 4 physical cores).  REPRO_DISPATCH_BENCH=reduced shrinks the workload.
+# Warm-dispatch gate: the persistent worker pool, which spools each
+# worker once and loads it once per process, must beat the frozen
+# per-call-pool baseline by >=3x on repeat sweeps in one generation with
+# one spooled file, and intra-point sharding must be byte-identical (the
+# >=2.5x sharded floor additionally needs 4 physical cores).  Then the
+# pool's unit tests.  REPRO_DISPATCH_BENCH=reduced shrinks the workload.
 dispatch-bench:
 	$(PYTHON) -m pytest -q -s benchmarks/test_bench_engine_dispatch.py
 	$(PYTHON) -m pytest -q tests/test_core_pool.py

@@ -44,8 +44,7 @@ The library is organised as four substrates plus integration layers:
   the 1-bit trellis stack (``python -m repro acquire`` / ``datasets``).
 
 The user-facing surface is re-exported here, so a single ``import repro``
-gives the links, the system, the sweep engine and the scenario registry;
-:mod:`repro.api` is the same facade as a flat importable module.
+gives the links, the system, the sweep engine and the scenario registry.
 """
 
 __version__ = "1.10.0"
@@ -108,11 +107,10 @@ from repro.service import (
     serve,
 )
 from repro.utils.validation import resolve_dtype
-from repro import api, scenarios, service
+from repro import scenarios, service
 
 __all__ = [
     # submodules
-    "api",
     "channel",
     "coding",
     "core",

@@ -17,8 +17,9 @@ latency reports.  :class:`repro.core.engine.SweepEngine` is the shared
 Monte-Carlo sweep engine (per-point independent seeding, optional process
 parallelism, content-addressed result caching) behind the BER/NoC parameter
 sweeps, :class:`repro.core.pool.WorkerPool` the persistent worker pool
-(one-shot worker broadcast, chunked dispatch, deterministic intra-point
-sharding) its parallel path dispatches through, and
+(each worker pickled once per call and loaded once per process,
+deterministic intra-point sharding) its parallel path dispatches
+through, and
 :mod:`repro.core.store` holds the durable
 :class:`~repro.core.store.RunStore` backends it caches into.
 :mod:`repro.core.crosslayer` bridges the layers the paper keeps separate:
@@ -38,7 +39,7 @@ from repro.core.engine import (
     parameter_grid,
 )
 from repro.core.link import LinkReport, WirelessBoardLink
-from repro.core.pool import PoolTask, WorkerPool, broadcast_key_for
+from repro.core.pool import PoolTask, WorkerPool
 from repro.core.store import DiskStore, MemoryStore, RunStore
 from repro.core.system import SystemReport, WirelessInterconnectSystem
 
@@ -53,7 +54,6 @@ __all__ = [
     "parameter_grid",
     "WorkerPool",
     "PoolTask",
-    "broadcast_key_for",
     "RunStore",
     "MemoryStore",
     "DiskStore",

@@ -18,11 +18,10 @@ that pattern:
     picklable.  Parallel engines dispatch through a **warm**
     :class:`repro.core.pool.WorkerPool` (created lazily, reused across
     sweeps, released by :meth:`SweepEngine.close` or the engine's
-    context manager): the worker is broadcast to the pool once per
-    generation instead of being re-pickled per point, cheap many-point
-    grids are submitted in chunks, and incremental workers exposing the
-    shard protocol have deep adaptive points split across the pool with
-    byte-identical-to-serial results (see
+    context manager): the worker is pickled once per sweep, not once
+    per point, and each worker process loads it once; incremental
+    workers exposing the shard protocol have deep adaptive points split
+    across the pool with byte-identical-to-serial results (see
     :meth:`SweepEngine.sweep_adaptive`).  On either path the first
     worker exception fails fast — queued points are cancelled, in-flight
     points killed — and re-raises as :class:`SweepPointError` naming
@@ -76,7 +75,7 @@ from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
 
 import numpy as np
 
-from repro.core.pool import PoolTask, WorkerPool, broadcast_key_for
+from repro.core.pool import PoolTask, WorkerPool
 from repro.core.store import MemoryStore, RunStore, store_and_canonicalize
 from repro.utils.hashing import (content_hash, sweep_point_keys,
                                  worker_cache_key)
@@ -259,28 +258,25 @@ def _advance_shard(worker: Any, params: Mapping[str, Any],
 class Point:
     """The lifecycle of one planned point, shared by every front-end.
 
-    A :class:`PlannedPoint` plus its worker, the worker's pool
-    ``broadcast`` key, and the ``scenario`` name and campaign entry
-    ``label`` failures are attributed to.  A non-``None`` stopping
-    ``rule`` makes the point adaptive: its store entry is the worker's
-    encoded tally, not a final value.  The steps: :meth:`resolve`; if
-    still pending, :meth:`task`, run, then :meth:`record` (or
-    :meth:`error`); a twin takes the result with :meth:`share`.
-    ``value``, ``from_cache`` and ``coalesced`` hold the outcome.
+    A :class:`PlannedPoint` plus its worker, and the ``scenario`` name
+    and campaign entry ``label`` failures are attributed to.  A
+    non-``None`` stopping ``rule`` makes the point adaptive: its store
+    entry is the worker's encoded tally, not a final value.  The steps:
+    :meth:`resolve`; if still pending, :meth:`task`, run, then
+    :meth:`record` (or :meth:`error`); a twin takes the result with
+    :meth:`share`.  ``value``, ``from_cache`` and ``coalesced`` hold the
+    outcome.
     """
 
-    __slots__ = ("planned", "worker", "rule", "broadcast", "scenario",
-                 "label", "value", "state", "resumed_units", "from_cache",
-                 "coalesced")
+    __slots__ = ("planned", "worker", "rule", "scenario", "label", "value",
+                 "state", "resumed_units", "from_cache", "coalesced")
 
     def __init__(self, planned: PlannedPoint, worker: Any, rule: Any = None,
-                 broadcast: Optional[str] = None,
                  scenario: Optional[str] = None,
                  label: Optional[str] = None) -> None:
         self.planned = planned
         self.worker = worker
         self.rule = rule
-        self.broadcast = broadcast
         self.scenario = scenario
         self.label = label
         self.value: Any = None
@@ -323,12 +319,10 @@ class Point:
         planned = self.planned
         if self.rule is None:
             return PoolTask(fn=_evaluate_point, worker=self.worker,
-                            args=(planned.params, planned.seed_sequence),
-                            broadcast_key=self.broadcast)
+                            args=(planned.params, planned.seed_sequence))
         return PoolTask(fn=_advance_point, worker=self.worker,
                         args=(planned.params, self.state,
-                              planned.seed_sequence, self.rule),
-                        broadcast_key=self.broadcast)
+                              planned.seed_sequence, self.rule))
 
     def record(self, store: RunStore, result: Any) -> None:
         """Keep a computed ``result``, storing it first when cacheable.
@@ -418,11 +412,10 @@ def run_points(points: Sequence[Point], store: RunStore,
     its state is byte-identical to a serial run, with overshoot
     discarded (see :meth:`SweepEngine.sweep_adaptive`).  The first
     round rides in the batch of the whole-point tasks, at the point's
-    place in ``points``, so it keeps its turn and the pool installs
-    every worker in one generation; each later round is one batch of
-    every point still unsatisfied.  A sharded point is recorded after
-    every round (an interrupted deep point resumes mid-way), and the
-    canonicalized (store round-tripped) state the record keeps makes
+    place in ``points``, so it keeps its turn; each later round is one
+    batch of every point still unsatisfied.  A sharded point is recorded
+    after every round (an interrupted deep point resumes mid-way), and
+    the canonicalized (store round-tripped) state the record keeps makes
     replay and storage representations identical.
     """
     if pool is None:
@@ -500,8 +493,8 @@ def _shard_tasks(point: Point, ramp: int, n_shards: int
     return [((point, shard), PoolTask(
         fn=_advance_shard, worker=worker,
         args=(point.planned.params, point.planned.seed_sequence,
-              list(range(start + shard * per, start + (shard + 1) * per))),
-        broadcast_key=point.broadcast)) for shard in range(n_shards)]
+              list(range(start + shard * per, start + (shard + 1) * per)))))
+        for shard in range(n_shards)]
 
 
 class SweepEngine:
@@ -598,14 +591,11 @@ class SweepEngine:
         :meth:`sweep_adaptive`: plan, resolve every point against the
         store, run the pending ones (each stored as it completes), and
         report them all in point order."""
-        pool = self._ensure_pool()
-        broadcast = broadcast_key_for(worker, key=key) \
-            if pool is not None else None
-        swept = [Point(planned, worker, rule=rule, broadcast=broadcast)
+        swept = [Point(planned, worker, rule=rule)
                  for planned in plan_sweep(worker, points, rng=rng, key=key,
                                            cacheable=self.cache_enabled)]
         pending = [point for point in swept if not point.resolve(self.store)]
-        run_points(pending, self.store, pool)
+        run_points(pending, self.store, self._ensure_pool())
         self._misses += len(pending)
         self._hits += len(swept) - len(pending)
         return [SweepOutcome(params=dict(point.planned.params),

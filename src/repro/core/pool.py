@@ -1,4 +1,4 @@
-"""Warm dispatch: a persistent worker pool with one-shot state broadcast.
+"""Warm dispatch: a persistent worker pool that ships each worker once.
 
 Before this module, every sweep paid two dispatch taxes on top of the
 actual Monte-Carlo work: each ``SweepEngine.sweep`` call built (and tore
@@ -16,24 +16,19 @@ spin-up were the bottleneck, not the simulation.
   campaign runner, the campaign service) hold one pool for their
   lifetime and ``close()`` it when done (also a context manager).  The
   pool is fork-safe: a pool handle inherited by a forked child refers to
-  the *parent's* processes, so the child transparently re-creates its
-  own on first use.
-* **One-shot state broadcast** — each task names its (large) shared
-  first argument by a *broadcast key* (derived from
-  :func:`repro.utils.hashing.worker_cache_key`).  The pickled worker is
-  shipped **once per pool generation** through the executor initializer;
-  worker processes keep a process-local object cache
-  (:data:`_PROCESS_CACHE`), so per-point messages shrink to ``(function,
-  key, params, seed-sequence state)``.  A task whose key is not yet
-  installed bumps the pool *generation*: the old executor is retired
-  gracefully (in-flight work completes) and a new one starts with the
-  accumulated broadcast set, installed into every worker process as it
-  spawns.
-* **Chunked dispatch** — large batches are grouped into chunks of
-  consecutive tasks executed by one submission, amortizing IPC for
-  many-point cheap grids.  A mid-chunk failure returns the chunk's
-  completed prefix (durability: those values are still recorded) before
-  the batch fails.
+  the *parent's* processes and spool, so the child transparently
+  re-creates its own on first use.
+* **Spool-once shipping** — a task is just ``(fn, worker, args)``.  On
+  each call the parent pickles every distinct worker object once and
+  writes the bytes to ``<spool>/<sha256 of the bytes>`` unless that file
+  already exists; the per-task message is ``(fn, path, args)``.  A worker
+  process loads a path on first use into a bounded process-local cache
+  (:data:`_PROCESS_CACHE`), so a worker crosses the process boundary
+  once per process, not once per point.  Equal bytes are one file, and
+  different workers are always different files — no caller-supplied key
+  can alias two workers.  The spool is a private temporary directory,
+  removed by ``close()`` or, for a pool that is never closed, when the
+  pool is collected or the interpreter exits.
 * **Fast-fail** — the first task exception in :meth:`execute` aborts the
   executor with ``shutdown(cancel_futures=True)`` and terminates its
   worker processes instead of draining in-flight points; the warm pool
@@ -46,143 +41,73 @@ engine and campaign runner use the batch API (:meth:`execute`).
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
+import shutil
+import tempfile
 import threading
-from collections import OrderedDict
+import weakref
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.utils.hashing import content_hash, worker_cache_key
-
-#: How many distinct broadcast blobs a pool keeps pinned (LRU).  Each new
-#: generation installs the whole retained set, so alternating between up
-#: to this many workers never churns the pool.
+#: How many workers one worker process keeps unpickled.  A task whose
+#: worker was evicted reloads it from the spool.
 MAX_BROADCASTS = 8
 
-#: Worker-process-local cache of broadcast objects, filled once per pool
-#: generation by :func:`_install_broadcasts` (the executor initializer)
-#: when the process spawns.  Maps broadcast key -> the unpickled object.
+#: Worker-process-local cache: spool path -> the unpickled worker,
+#: oldest first.
 _PROCESS_CACHE: Dict[str, Any] = {}
-
-
-def _install_broadcasts(blobs: Dict[str, bytes]) -> None:
-    """Executor initializer: install the generation's broadcast set.
-
-    Runs in every worker process as it spawns (``ProcessPoolExecutor``
-    spawns processes lazily, so late-spawned workers of a generation
-    still install the same set).  Shipping pickled bytes — produced once
-    in the parent — keeps the cost identical under the ``fork`` and
-    ``spawn`` start methods and gives every process its own
-    reconstructed objects.
-    """
-    _PROCESS_CACHE.clear()
-    for key, blob in blobs.items():
-        _PROCESS_CACHE[key] = pickle.loads(blob)
-
-
-class BroadcastMissing(RuntimeError):
-    """A task referenced a broadcast key its worker process never
-    installed — a pool-management bug, not a worker failure."""
 
 
 @dataclass(frozen=True)
 class PoolTask:
     """One schedulable unit of work: ``fn(worker, *args)``.
 
-    ``worker`` is the (potentially large) shared first argument.  When
-    ``broadcast_key`` is set, the pool ships the worker once per
-    generation under that key and the per-task message carries only the
-    key; equal keys MUST describe equivalent workers — the same
-    equivalence the result cache already assumes (see
-    :func:`broadcast_key_for`).  ``None`` ships the worker inline with
-    the task (the pre-broadcast behaviour).
+    ``worker`` is the (potentially large) shared first argument; the
+    pool ships it through the spool, once per distinct pickled form.
     """
 
     fn: Callable[..., Any]
     worker: Any
     args: Tuple[Any, ...]
-    broadcast_key: Optional[str] = None
 
 
-def broadcast_key_for(worker: Any, key: Any = None) -> str:
-    """Stable broadcast key of a worker (or of an explicit cache key).
-
-    The digest of the same identity the result cache uses
-    (:func:`~repro.utils.hashing.worker_cache_key`, or the explicit
-    ``key`` a scenario provides), so workers the cache would treat as
-    equivalent share one broadcast slot.  Identity-keyed (opaque)
-    workers fold in a process-local token — correct here, because
-    broadcast slots, like the historical identity cache, never outlive
-    the parent process.
-    """
-    identity = worker_cache_key(worker) if key is None else key
-    try:
-        return content_hash(identity)
-    except TypeError:
-        # An explicit key the canonical JSON cannot represent: fall back
-        # to the worker-derived description, which always serializes.
-        return content_hash(worker_cache_key(worker))
-
-
-def _execute_call(fn: Callable[..., Any], key: Optional[str], worker: Any,
+def _execute_call(fn: Callable[..., Any], path: str,
                   args: Tuple[Any, ...]) -> Any:
-    """Run one task in a worker process, resolving its broadcast key."""
-    if key is not None:
-        try:
-            worker = _PROCESS_CACHE[key]
-        except KeyError:
-            raise BroadcastMissing(
-                f"broadcast {key!r} is not installed in worker process "
-                f"{os.getpid()} (pool generation mismatch)") from None
+    """Run one task in a worker process, loading its worker from the
+    spool file ``path`` unless this process already holds it."""
+    try:
+        worker = _PROCESS_CACHE[path]
+    except KeyError:
+        with open(path, "rb") as stream:
+            worker = pickle.load(stream)
+        while len(_PROCESS_CACHE) >= MAX_BROADCASTS:
+            del _PROCESS_CACHE[next(iter(_PROCESS_CACHE))]
+        _PROCESS_CACHE[path] = worker
     return fn(worker, *args)
 
 
-class _ChunkFailure(Exception):
-    """A task inside a chunk failed.
-
-    Carries the chunk-relative ``index`` of the failing task, the
-    ``completed`` values of the tasks before it (so the parent can still
-    record them — durability is per task, not per chunk) and the
-    original exception as ``cause``.  All three travel through
-    ``Exception.args`` so the default pickling used by the process pool
-    preserves them.
-    """
-
-    def __init__(self, index: int, completed: List[Any],
-                 cause: BaseException) -> None:
-        super().__init__(index, completed, cause)
-        self.index = index
-        self.completed = completed
-        self.cause = cause
-
-
-def _run_chunk(calls: Sequence[Tuple[Callable[..., Any], Optional[str],
-                                     Any, Tuple[Any, ...]]]) -> List[Any]:
-    """Execute a chunk of calls in order, returning their values."""
-    completed: List[Any] = []
-    for index, call in enumerate(calls):
-        try:
-            completed.append(_execute_call(*call))
-        except Exception as exc:
-            raise _ChunkFailure(index, completed, exc) from exc
-    return completed
+def _remove_spool(path: str, pid: int) -> None:
+    """Remove a spool directory — only in the process that made it, so a
+    forked child exiting never deletes its parent's spool."""
+    if os.getpid() == pid:
+        shutil.rmtree(path, ignore_errors=True)
 
 
 class WorkerPool:
-    """Persistent process pool with broadcast cache and chunked dispatch.
+    """Persistent process pool that ships each worker once.
 
     Parameters
     ----------
     n_workers:
         Number of worker processes.
 
-    The pool keeps the latest :data:`MAX_BROADCASTS` broadcast workers
-    pinned.  Use :meth:`execute` for batches with fail-fast semantics (the
-    engine and campaign paths) and :meth:`run_one` for independent
-    single tasks (the service's dispatcher threads).  ``close()`` — or
-    the context manager — releases the processes.
+    Use :meth:`execute` for batches with fail-fast semantics (the engine
+    and campaign paths) and :meth:`run_one` for independent single tasks
+    (the service's dispatcher threads).  ``close()`` — or the context
+    manager — releases the processes and the spool.
     """
 
     def __init__(self, n_workers: int) -> None:
@@ -191,14 +116,11 @@ class WorkerPool:
         self.n_workers = int(n_workers)
         self._lock = threading.RLock()
         self._executor: Optional[ProcessPoolExecutor] = None
+        self._spool: Optional[str] = None
+        self._remove: Optional[weakref.finalize] = None
         self._pid = os.getpid()
-        self._blobs: "OrderedDict[str, bytes]" = OrderedDict()
-        self._live: frozenset = frozenset()
-        # Manager threads of retired generations, joined by close().
-        self._retired: List[Any] = []
         self._counters = {"generation": 0, "broadcasts": 0,
-                          "broadcast_hits": 0, "tasks": 0, "chunks": 0,
-                          "max_chunk_size": 0}
+                          "broadcast_hits": 0, "tasks": 0}
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -211,9 +133,10 @@ class WorkerPool:
 
     def close(self) -> None:
         """Release the worker processes (drains running tasks, cancels
-        queued ones).  The pool remains usable — the next task lazily
-        creates a fresh generation — so closing between bursts of work
-        is a way to give the memory back."""
+        queued ones) and remove the spool.  The pool remains usable —
+        the next task lazily creates a fresh generation and spool — so
+        closing between bursts of work is a way to give the memory
+        back."""
         self._shutdown(kill=False)
 
     def _abort(self) -> None:
@@ -227,114 +150,87 @@ class WorkerPool:
         executor's manager thread, captured before ``shutdown`` drops
         it, then reaps the terminated processes; joining it means no
         worker process outlives the abort.  The warm pool is sacrificed;
-        the next task re-creates it.
+        the next task re-creates it.  The spool stays: its files are
+        still valid.
         """
         self._shutdown(kill=True)
 
     def _shutdown(self, kill: bool) -> None:
         """Shut the executor down — draining running tasks, or with
-        ``kill`` terminating them — and join the manager threads of it
-        and of every retired generation, which reap their processes."""
+        ``kill`` terminating them — join its manager thread, which reaps
+        the processes, and (unless ``kill``) remove the spool."""
         with self._lock:
             executor, self._executor = self._executor, None
-            self._live = frozenset()
-            managers, self._retired = self._retired, []
+            remove = None
+            if not kill:
+                remove, self._remove, self._spool = self._remove, None, None
         if executor is not None:
             processes = dict(getattr(executor, "_processes", None) or {})
-            managers.append(getattr(executor, "_executor_manager_thread",
-                                    None))
+            manager = getattr(executor, "_executor_manager_thread", None)
             executor.shutdown(wait=not kill, cancel_futures=True)
             for process in processes.values() if kill else ():
                 try:
                     process.terminate()
                 except Exception:
                     pass
-        for manager in managers:
             if manager is not None:
                 manager.join()
+        if remove is not None:
+            remove()
 
-    def _ensure_executor(self, keys: Sequence[str]) -> ProcessPoolExecutor:
-        """The live executor, with every key in ``keys`` installed.
+    def _submit(self, tasks: Sequence[Tuple[Any, PoolTask]],
+                error: Callable[[Any, Exception], Exception]) -> List[Any]:
+        """Spool the tasks' workers and submit one future per task (lock
+        held); returns the futures in task order.
 
-        Caller holds the lock.  Re-creates the executor when it does not
-        exist, belongs to a forked parent, broke, or lacks a requested
-        broadcast — each re-creation is a new *generation* installing
-        the full retained broadcast set, so a key installed once stays
-        live across later generations instead of churning the pool.
+        Re-creates the executor when it does not exist, belongs to a
+        forked parent or broke — each re-creation is a new *generation*.
+        A worker that does not pickle fails as its task: ``error(task_id,
+        exception)`` is raised and nothing is submitted.
         """
         if os.getpid() != self._pid:
-            # Forked child: the inherited handle points at the parent's
-            # processes.  Drop it (without touching those processes) and
-            # start our own.
-            self._executor = None
-            self._live = frozenset()
+            # Forked child: the inherited executor and spool are the
+            # parent's.  Drop them without touching them; start our own.
             self._pid = os.getpid()
-        executor = self._executor
-        missing = [key for key in keys if key not in self._live]
-        if executor is not None and not missing \
-                and not getattr(executor, "_broken", False):
-            return executor
-        if executor is not None:
-            # Graceful retirement: in-flight futures (other threads may
-            # hold some) run to completion on the old processes, whose
-            # manager thread close() joins.
-            self._retired = [thread for thread in self._retired
-                             if thread is not None and thread.is_alive()]
-            self._retired.append(getattr(executor,
-                                         "_executor_manager_thread", None))
-            executor.shutdown(wait=False)
-        blobs = dict(self._blobs)
-        self._executor = ProcessPoolExecutor(
-            max_workers=self.n_workers,
-            initializer=_install_broadcasts, initargs=(blobs,))
-        self._live = frozenset(blobs)
-        self._counters["generation"] += 1
-        self._counters["broadcasts"] += len(blobs)
-        return self._executor
-
-    def _prepare(self, tasks: Sequence[Tuple[Any, PoolTask]],
-                 error: Callable[[Any, Exception], Exception]) -> None:
-        """Pickle any broadcast workers not yet retained (lock held)."""
+            self._executor = self._spool = self._remove = None
+        if self._spool is None:
+            self._spool = tempfile.mkdtemp(prefix="repro-pool-")
+            self._remove = weakref.finalize(self, _remove_spool,
+                                            self._spool, self._pid)
+        paths: Dict[int, str] = {}       # id(worker) -> spool path
+        written = set()                  # paths this call wrote
         for task_id, task in tasks:
-            key = task.broadcast_key
-            if key is None:
-                continue
-            if key in self._blobs:
-                self._blobs.move_to_end(key)
-                continue
-            try:
-                self._blobs[key] = pickle.dumps(
-                    task.worker, protocol=pickle.HIGHEST_PROTOCOL)
-            except Exception as exc:
-                # An unpicklable worker fails exactly like it did when it
-                # was pickled per point: as this task's failure.
-                raise error(task_id, exc) from exc
-            while len(self._blobs) > MAX_BROADCASTS:
-                self._blobs.popitem(last=False)
+            path = paths.get(id(task.worker))
+            if path is None:
+                try:
+                    blob = pickle.dumps(task.worker,
+                                        protocol=pickle.HIGHEST_PROTOCOL)
+                except Exception as exc:
+                    raise error(task_id, exc) from exc
+                path = paths[id(task.worker)] = os.path.join(
+                    self._spool, hashlib.sha256(blob).hexdigest())
+                if not os.path.exists(path):
+                    # Written whole, then renamed: a failed write never
+                    # leaves a truncated file that looks spooled.
+                    with open(path + ".tmp", "wb") as stream:
+                        stream.write(blob)
+                    os.replace(path + ".tmp", path)
+                    written.add(path)
+                    self._counters["broadcasts"] += 1
+            self._counters["broadcast_hits"] += path not in written
+        executor = self._executor
+        if executor is None or getattr(executor, "_broken", False):
+            executor = self._executor = ProcessPoolExecutor(
+                max_workers=self.n_workers)
+            self._counters["generation"] += 1
+        self._counters["tasks"] += len(tasks)
+        return [executor.submit(_execute_call, task.fn,
+                                paths[id(task.worker)], tuple(task.args))
+                for _, task in tasks]
 
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
-    def _chunk_size(self, n_tasks: int) -> int:
-        # Aim for ~4 chunks per worker: large enough to amortize IPC on
-        # many-point cheap grids, small enough that completion recording
-        # (durability) and load balancing stay fine-grained.
-        return max(1, n_tasks // (self.n_workers * 4))
-
-    def _build_call(self, task: PoolTask) -> Tuple[Callable[..., Any],
-                                                   Optional[str], Any,
-                                                   Tuple[Any, ...]]:
-        """Wire format of one task (lock held; executor ensured).
-
-        A task whose key failed to stay live (evicted past
-        :data:`MAX_BROADCASTS` within one batch) degrades to inline
-        shipping rather than failing in the worker.
-        """
-        key = task.broadcast_key if task.broadcast_key in self._live \
-            else None
-        return (task.fn, key, None if key is not None else task.worker,
-                tuple(task.args))
-
     def execute(self, tasks: Sequence[Tuple[Any, PoolTask]],
                 record: Callable[[Any, Any], None],
                 error: Callable[[Any, Exception], Exception]) -> None:
@@ -344,52 +240,28 @@ class WorkerPool:
         completion as it happens.  The first task exception aborts the
         pool (:meth:`_abort` — queued work cancelled, running work
         killed) and raises ``error(task_id, exception)`` from it; values
-        completed before the failure — including a failing chunk's
-        completed prefix — are still recorded first.
+        completed before the failure are still recorded first.
         """
         if not tasks:
             return
         with self._lock:
-            self._prepare(tasks, error)
-            pre_live = self._live
-            executor = self._ensure_executor(
-                [task.broadcast_key for _, task in tasks
-                 if task.broadcast_key is not None])
-            self._counters["tasks"] += len(tasks)
-            self._counters["broadcast_hits"] += sum(
-                1 for _, task in tasks if task.broadcast_key in pre_live)
-            chunk = self._chunk_size(len(tasks))
-            futures: Dict[Any, List[Any]] = {}
-            for start in range(0, len(tasks), chunk):
-                group = tasks[start:start + chunk]
-                future = executor.submit(
-                    _run_chunk,
-                    [self._build_call(task) for _, task in group])
-                futures[future] = [task_id for task_id, _ in group]
-            self._counters["chunks"] += len(futures)
-            self._counters["max_chunk_size"] = max(
-                self._counters["max_chunk_size"], chunk)
+            futures = dict(zip(self._submit(tasks, error),
+                               (task_id for task_id, _ in tasks)))
         for future in as_completed(futures):
-            ids = futures[future]
-            try:
-                values = future.result()
-            except _ChunkFailure as failure:
-                for offset, value in enumerate(failure.completed):
-                    record(ids[offset], value)
+            # exception(), not a raising result(): the exception then
+            # carries no traceback through this frame, whose futures hold
+            # it, so no reference cycle keeps the pool (and its spool)
+            # alive after a failure.
+            exc = future.exception()
+            if exc is not None:
+                # A worker failure, or the pool itself broke (a worker
+                # died, the task could not be shipped): fail fast.
                 self._abort()
-                raise error(ids[failure.index],
-                            failure.cause) from failure.cause
-            except Exception as exc:
-                # The pool itself broke (a worker died, the task could
-                # not be shipped): attribute it to the chunk's first
-                # task and fail fast all the same.
-                self._abort()
-                raise error(ids[0], exc) from exc
-            # Outside the except scope: a record() failure (say, a full
-            # disk under a DiskStore) is a storage error and propagates
-            # as itself, not as a worker failure.
-            for offset, value in enumerate(values):
-                record(ids[offset], value)
+                raise error(futures[future], exc) from exc
+            # A record() failure (say, a full disk under a DiskStore) is
+            # a storage error and propagates as itself, not as a worker
+            # failure.
+            record(futures[future], future.result())
 
     def run_one(self, task: PoolTask) -> Any:
         """Run one independent task, re-raising its exception as-is.
@@ -400,22 +272,9 @@ class WorkerPool:
         failure.
         """
         with self._lock:
-            self._prepare([(None, task)],
-                          error=lambda _task_id, exc: exc)
-            pre_live = self._live
-            keys = [task.broadcast_key] if task.broadcast_key else []
-            executor = self._ensure_executor(keys)
-            self._counters["tasks"] += 1
-            self._counters["chunks"] += 1
-            self._counters["max_chunk_size"] = max(
-                self._counters["max_chunk_size"], 1)
-            if task.broadcast_key in pre_live:
-                self._counters["broadcast_hits"] += 1
-            future = executor.submit(_run_chunk, [self._build_call(task)])
-        try:
-            return future.result()[0]
-        except _ChunkFailure as failure:
-            raise failure.cause
+            future, = self._submit([(None, task)],
+                                   error=lambda _task_id, exc: exc)
+        return future.result()
 
     # ------------------------------------------------------------------
     # introspection
@@ -426,16 +285,12 @@ class WorkerPool:
         return self._counters["generation"]
 
     def stats(self) -> Dict[str, int]:
-        """Dispatch counters: pool generation, broadcast traffic, chunking.
+        """Dispatch counters: pool generation and spool traffic.
 
-        ``broadcasts`` counts key installations shipped through executor
-        initializers (a key re-installed by a later generation counts
-        again — it is real IPC); ``broadcast_hits`` counts tasks whose
-        key was already live when they were submitted, i.e. points that
-        travelled as ``(key, params, seed)`` instead of a full worker.
+        ``broadcasts`` counts worker files written to the spool (a file
+        removed and written again counts again — it is real I/O);
+        ``broadcast_hits`` counts tasks whose worker file existed before
+        their call, i.e. points whose worker was already spooled.
         """
         with self._lock:
-            stats = dict(self._counters)
-            stats["n_workers"] = self.n_workers
-            stats["live_broadcasts"] = len(self._live)
-            return stats
+            return {**self._counters, "n_workers": self.n_workers}

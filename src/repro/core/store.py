@@ -213,7 +213,10 @@ class DiskStore:
         except (OSError, ValueError, KeyError, TypeError):
             pass  # missing or corrupt manifest: rebuild below
         stats = self._scan_shard(shard)
-        self._write_manifest(shard, token, stats)
+        try:
+            self._write_manifest(shard, token, stats)
+        except OSError:
+            pass  # a read-only or full store: the counts are still right
         return stats
 
     def _write_manifest(self, shard: str, token: int,

@@ -41,7 +41,7 @@ from typing import (Any, Dict, Iterator, List, Mapping, Optional, Sequence,
 import numpy as np
 
 from repro.core.engine import Point, plan_sweep, run_points
-from repro.core.pool import WorkerPool, broadcast_key_for
+from repro.core.pool import WorkerPool
 from repro.core.store import MemoryStore, RunStore
 from repro.scenarios.registry import build_scenario, scenario_names
 from repro.scenarios.result import ScenarioResult
@@ -207,13 +207,13 @@ class Campaign:
 
         Parallel runs (``n_workers > 1``) dispatch through one
         :class:`~repro.core.pool.WorkerPool`: each scenario's worker is
-        broadcast to the pool once (per-point messages carry only the
-        broadcast key, params and seed state) and cheap points are
-        submitted in chunks; on more than one process, deep adaptive
-        points are sharded across the pool, byte-identical to serial.
-        Pass a caller-owned warm ``pool`` to reuse its processes and
-        broadcasts across campaign runs; otherwise an ephemeral pool
-        lives for this call.  The pool's dispatch counters land in the
+        pickled once for the run and loaded once per worker process
+        (per-point messages carry only its spool path, params and seed
+        state); on more than one process, deep adaptive points are
+        sharded across the pool, byte-identical to serial.  Pass a
+        caller-owned warm ``pool`` to reuse its processes and spooled
+        workers across campaign runs; otherwise an ephemeral pool lives
+        for this call.  The pool's dispatch counters land in the
         result's ``execution["dispatch"]`` block.
         """
         if n_workers is not None and n_workers < 1:
@@ -226,19 +226,16 @@ class Campaign:
             pool = WorkerPool(n_workers)
         rows: List[List[Point]] = []
         for entry, scenario in zip(self.entries, scenarios):
-            key = scenario.cache_key()
-            broadcast = (broadcast_key_for(scenario.worker, key=key)
-                         if pool is not None else None)
             # A non-None rule marks the entry adaptive: its points resume
             # stored tallies instead of being fixed computations.
             rule = (scenario.precision.stopping_rule()
                     if scenario.precision is not None else None)
             rows.append([
                 Point(planned, scenario.worker, rule=rule,
-                      broadcast=broadcast, scenario=scenario.name,
-                      label=entry.label)
+                      scenario=scenario.name, label=entry.label)
                 for planned in plan_sweep(scenario.worker, scenario.points,
-                                          rng=entry.seed, key=key)])
+                                          rng=entry.seed,
+                                          key=scenario.cache_key())])
 
         # Round-robin interleave: the k-th point of every scenario before
         # the (k+1)-th of any — short sweeps drain early from the shared

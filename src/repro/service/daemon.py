@@ -53,7 +53,7 @@ import time
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.engine import plan_sweep
-from repro.core.pool import WorkerPool, broadcast_key_for
+from repro.core.pool import WorkerPool
 from repro.core.store import MemoryStore, RunStore
 from repro.scenarios.scenario import Scenario
 from repro.service.jobs import PRIORITY_RANKS, Job, PointSlot, parse_request
@@ -89,9 +89,9 @@ class CampaignService:
         self.store: RunStore = store if store is not None else MemoryStore()
         self.n_workers = int(n_workers)
         # One warm WorkerPool shared by every dispatcher thread: each
-        # scenario's worker is broadcast to the pool processes once, so
-        # a multi-point job re-pickles nothing per point (the per-point
-        # message is the broadcast key, params and seed state).
+        # scenario's worker is spooled once and loaded once per pool
+        # process, so a point's message is its worker's spool path,
+        # params and seed state.
         self._pool: Optional[WorkerPool] = (
             WorkerPool(self.n_workers) if processes else None)
         self._lock = threading.Lock()
@@ -146,15 +146,13 @@ class CampaignService:
         if priority not in PRIORITY_RANKS:
             raise ValueError(f"priority must be one of "
                              f"{sorted(PRIORITY_RANKS)}, got {priority!r}")
-        key = scenario.cache_key()
         rule = (scenario.precision.stopping_rule()
                 if scenario.precision is not None else None)
-        broadcast = (broadcast_key_for(scenario.worker, key=key)
-                     if self._pool is not None else None)
         slots = [PointSlot(planned, scenario.worker, rule=rule,
-                           broadcast=broadcast, scenario=scenario.name)
+                           scenario=scenario.name)
                  for planned in plan_sweep(scenario.worker, scenario.points,
-                                           rng=seed, key=key)]
+                                           rng=seed,
+                                           key=scenario.cache_key())]
         with self._lock:
             if not self._accepting:
                 raise ServiceUnavailable(
@@ -332,8 +330,9 @@ class CampaignService:
         ``store`` embeds the manifest-backed :meth:`RunStore.info`, so
         reporting key counts and byte sizes does not walk the store.
         ``dispatch`` reports the worker pool's warm-dispatch counters —
-        pool generation, broadcast installs vs hits, chunk sizes — or
-        ``{"mode": "inline"}`` when points run in the dispatcher
+        pool generation, tasks, worker files spooled (``broadcasts``)
+        and tasks whose worker was already spooled (``broadcast_hits``)
+        — or ``{"mode": "inline"}`` when points run in the dispatcher
         threads.
         """
         if self._pool is not None:

@@ -1,6 +1,7 @@
 """Tests for the Monte-Carlo sweep engine (repro.core.engine)."""
 
 import time
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -345,6 +346,16 @@ def _slow_or_fail(params, rng):
     raise ValueError("early failure")
 
 
+@dataclass(frozen=True)
+class _Offset:
+    """A frozen-dataclass worker whose state shows in every value."""
+
+    offset: int
+
+    def __call__(self, params, rng):
+        return self.offset + params["i"]
+
+
 class TestWarmDispatch:
     def test_early_failure_is_not_masked_by_a_slow_point(self):
         # Regression: a failure in a pool-dispatched sweep used to
@@ -379,6 +390,21 @@ class TestWarmDispatch:
         assert after_second["generation"] == 1
         assert after_second["broadcast_hits"] \
             == after_first["broadcast_hits"] + len(points)
+
+    def test_distinct_workers_under_one_key_are_not_aliased(self):
+        # An explicit cache key names results, not the worker that
+        # computes them: with caching off, a pooled sweep must run each
+        # worker it is given, exactly as a serial sweep does.
+        points = parameter_grid(i=(0, 1, 2, 3))
+        workers = (_Offset(0), _Offset(100))
+        with SweepEngine(n_workers=2, cache=False) as engine:
+            pooled = [engine.sweep_values(worker, points, rng=8,
+                                          key="shared")
+                      for worker in workers]
+        serial = [SweepEngine(cache=False).sweep_values(
+            worker, points, rng=8, key="shared") for worker in workers]
+        assert serial == [[0, 1, 2, 3], [100, 101, 102, 103]]
+        assert pooled == serial
 
     def test_close_then_sweep_recreates_the_pool(self):
         points = parameter_grid(scale=(1.0, 2.0))

@@ -1,7 +1,9 @@
 """Tests for the content-addressed result stores (repro.core.store)."""
 
+import errno
 import json
 import os
+import tempfile
 
 import pytest
 
@@ -343,6 +345,25 @@ class TestDiskStoreManifests:
         assert store.info()["entries"] == 1
         with open(manifest_path, encoding="utf-8") as stream:
             assert json.load(stream)["entries"] == 1
+
+    def test_read_only_store_still_reports_counts(self, tmp_path,
+                                                  monkeypatch):
+        # The manifest only caches counts: when it cannot be written (a
+        # read-only store), info() and len() walk the shard instead of
+        # failing, as get() keeps working.
+        store = DiskStore(str(tmp_path / "store"))
+        store.put(KEY_A, {"x": 1})
+        store.put(KEY_B, {"x": 2})
+
+        def read_only(*args, **kwargs):
+            raise OSError(errno.EROFS, "Read-only file system")
+
+        monkeypatch.setattr(tempfile, "mkstemp", read_only)
+        assert store.info()["entries"] == 2
+        assert len(store) == 2
+        assert store.get(KEY_A) == {"x": 1}
+        assert not os.path.exists(os.path.join(str(tmp_path / "store"),
+                                               "manifest", "aa.json"))
 
     def test_gc_keeps_manifests_consistent(self, tmp_path):
         now = 1_700_000_000.0

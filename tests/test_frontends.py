@@ -13,7 +13,9 @@ sweep; run the file as a script to check every registered scenario
 """
 
 import multiprocessing
+import os
 import sys
+import tempfile
 import threading
 import time
 from typing import Dict, Sequence
@@ -84,11 +86,24 @@ def _started_since(before):
             if process not in before]
 
 
+def _spools():
+    """Pool spool directories left in the temp dir."""
+    return [name for name in os.listdir(tempfile.gettempdir())
+            if name.startswith("repro-pool-")]
+
+
 class TestNoWorkerProcessOutlivesAFrontEnd:
+    """No front end leaves a worker process or a pool spool behind."""
+
+    @pytest.fixture(autouse=True)
+    def _private_tempdir(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+
     def test_scenario_run(self):
         before = multiprocessing.active_children()
         build_scenario("fig7").run(rng=0, n_workers=2)
         assert _started_since(before) == []
+        assert _spools() == []
 
     def test_fast_failing_pooled_sweep(self):
         # The fast-fail abort terminates the pool's processes; each must
@@ -100,11 +115,13 @@ class TestNoWorkerProcessOutlivesAFrontEnd:
                 SweepEngine(n_workers=2, cache=False).sweep(
                     _fail_at_two, points, rng=0)
             assert _started_since(before) == []
+            assert _spools() == []
 
     def test_campaign_run(self, monkeypatch):
         before = multiprocessing.active_children()
         Campaign([ADAPTIVE, CampaignEntry("fig7")]).run(n_workers=2)
         assert _started_since(before) == []
+        assert _spools() == []
         broken = Campaign([CampaignEntry("fig7")])
         scenarios = broken.build_scenarios()
         scenarios[0].worker = _boom
@@ -112,23 +129,26 @@ class TestNoWorkerProcessOutlivesAFrontEnd:
         with pytest.raises(SweepPointError):
             broken.run(n_workers=2)
         assert _started_since(before) == []
+        assert _spools() == []
 
-    def test_retired_pool_generation(self):
-        # A new worker retires the pool's generation while another
-        # thread's task still runs on it (the service's dispatchers
-        # share one pool): close() must reap that process too.
+    def test_new_worker_while_a_task_runs(self):
+        # A new worker arrives while another thread's task still runs
+        # (the service's dispatchers share one pool): it joins the same
+        # generation, and close() reaps both processes.
         before = multiprocessing.active_children()
-        pool = WorkerPool(1)
+        pool = WorkerPool(2)
         napping = threading.Thread(target=pool.run_one, args=(PoolTask(
-            fn=time.sleep, worker=1.0, args=(), broadcast_key="nap"),))
+            fn=time.sleep, worker=1.0, args=()),))
         napping.start()
         time.sleep(0.3)
-        pool.run_one(PoolTask(fn=time.sleep, worker=0.0, args=(),
-                              broadcast_key="no-nap"))
-        assert pool.generation == 2
+        pool.run_one(PoolTask(fn=time.sleep, worker=0.0, args=()))
+        assert pool.generation == 1
+        assert len(_started_since(before)) == 2
         pool.close()
         assert _started_since(before) == []
-        napping.join()
+        assert _spools() == []
+        napping.join(timeout=30)
+        assert not napping.is_alive()
 
     def test_service_shutdown(self):
         before = multiprocessing.active_children()
@@ -137,6 +157,7 @@ class TestNoWorkerProcessOutlivesAFrontEnd:
         assert service.wait(job["job_id"], timeout=120)["status"] == "done"
         service.shutdown()
         assert _started_since(before) == []
+        assert _spools() == []
 
 
 if __name__ == "__main__":

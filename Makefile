@@ -53,7 +53,9 @@ dispatch-bench:
 
 # The three front-ends on every registered scenario: `repro run`,
 # `repro run-all --workers 2` and the campaign service must give
-# byte-identical JSON (tier-1 checks only the fast scenarios).
+# byte-identical JSON, and its seed-0 points must match
+# tests/data/registry_digests.json (tier-1 checks only the fast
+# scenarios).
 frontends:
 	$(PYTHON) tests/test_frontends.py
 

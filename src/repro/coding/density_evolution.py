@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from repro.coding.protograph import (
     EdgeSpreading,
@@ -179,7 +179,7 @@ def protograph_de(protograph: Protograph, ebn0_db: float, rate: float,
                                        minlength=n_variables)
         posterior_means = channel_means + posterior_totals
         tracked_means = posterior_means[tracked_variables]
-        error_probability = float(np.max(norm.sf(np.sqrt(tracked_means / 2.0))))
+        error_probability = float(np.max(ndtr(-np.sqrt(tracked_means / 2.0))))
         if error_probability <= target_error:
             return DensityEvolutionResult(converged=True,
                                           error_probability=error_probability,

@@ -245,10 +245,13 @@ class DiskStore:
 
     # ------------------------------------------------------------------
     def get(self, key: str) -> Any:
+        # An entry that does not decode (emptied or overwritten outside
+        # the store) is a miss as well: the point is recomputed and
+        # ``put`` replaces the entry.
         try:
             with open(self._path(key), "r", encoding="utf-8") as stream:
                 return json.load(stream)
-        except FileNotFoundError:
+        except (FileNotFoundError, ValueError):
             raise KeyError(key) from None
 
     def put(self, key: str, value: Any) -> None:

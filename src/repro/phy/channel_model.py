@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Tuple
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from repro.phy.modulation import AskConstellation
 from repro.phy.pulse import Pulse
@@ -162,7 +162,7 @@ class OversampledOneBitChannel:
                 window_indices = np.concatenate(([input_index], previous))
                 window = levels[window_indices.astype(int)]
                 means = window @ tap_matrix
-                prob_plus[state, input_index] = norm.cdf(means / self._noise_std)
+                prob_plus[state, input_index] = ndtr(means / self._noise_std)
         return np.clip(prob_plus, _PROBABILITY_EPS, 1.0 - _PROBABILITY_EPS)
 
     def noise_free_signs(self) -> np.ndarray:

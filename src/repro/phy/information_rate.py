@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.phy.channel_model import OversampledOneBitChannel
 from repro.phy.modulation import AskConstellation
@@ -34,6 +33,13 @@ from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.units import db_to_linear
 
 _LOG2 = np.log(2.0)
+
+
+def _normal_pdf(y: np.ndarray, loc: float, scale: float) -> np.ndarray:
+    """Density of N(loc, scale**2) at ``y``, in the order of operations
+    of ``scipy.stats.norm.pdf`` (so bit for bit what it returns)."""
+    x = (y - loc) / scale
+    return np.exp(-x**2 / 2.0) / np.sqrt(2 * np.pi) / scale
 
 
 def _entropy_rate_of_observations(channel: OversampledOneBitChannel,
@@ -186,8 +192,8 @@ def ask_awgn_information_rate(snr_db: float,
         y = level + sigma * nodes
         mixture = np.zeros_like(y)
         for other in levels:
-            mixture += norm.pdf(y, loc=other, scale=sigma) / order
-        conditional = norm.pdf(y, loc=level, scale=sigma)
+            mixture += _normal_pdf(y, other, sigma) / order
+        conditional = _normal_pdf(y, level, sigma)
         integrand = np.log2(conditional / mixture)
         rate += (weights * integrand).sum() / order
     return float(np.clip(rate, 0.0, constellation.bits_per_symbol))

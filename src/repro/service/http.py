@@ -37,6 +37,14 @@ from repro.utils.serialization import jsonify
 
 #: Default TCP port of ``python -m repro serve``.
 DEFAULT_PORT = 8765
+#: Largest request body the service reads (a scenario request is under
+#: 1 KB); a request declaring more is answered 413 unread.
+MAX_BODY_BYTES = 1 << 20
+
+
+class _UnreadBody(Exception):
+    """A request body refused before any of it is read, as
+    ``(status, message)``."""
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
@@ -94,7 +102,15 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         self._send_json(status, {"error": message})
 
     def _read_payload(self) -> Any:
-        length = int(self.headers.get("Content-Length", 0) or 0)
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        # Digits only: a negative length would read to end of stream,
+        # past any cap.
+        if not declared.isdecimal():
+            raise _UnreadBody(400, f"invalid Content-Length {declared!r}")
+        length = int(declared)
+        if length > MAX_BODY_BYTES:
+            raise _UnreadBody(413, f"request body of {length} bytes "
+                                   f"exceeds the {MAX_BODY_BYTES}-byte limit")
         body = self.rfile.read(length) if length else b""
         if not body:
             return {}
@@ -155,6 +171,12 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         if path == "/v1/scenarios":
             try:
                 payload = self._read_payload()
+            except _UnreadBody as error:
+                # The body stays unread: close rather than parse it as
+                # the next request on this connection.
+                self.close_connection = True
+                self._send_error_json(*error.args)
+                return
             except ValueError:
                 self._send_error_json(400, "request body is not valid JSON")
                 return

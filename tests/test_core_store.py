@@ -3,7 +3,9 @@
 import errno
 import json
 import os
+import pathlib
 import tempfile
+import threading
 
 import pytest
 
@@ -388,3 +390,72 @@ class TestDiskStoreManifests:
         assert store.clear() == 4
         assert store.info()["entries"] == 0
         assert len(store) == 0
+
+
+#: Entries that do not decode: emptied to zero bytes, and overwritten
+#: with bytes that are neither UTF-8 nor JSON.
+TORN = {"empty": b"", "garbage": b"\xff\x00{not json"}
+
+
+def _tear(root, content):
+    """Overwrite the first entry of the store at ``root`` with ``content``;
+    returns its path and its bytes before."""
+    path = sorted(pathlib.Path(root).glob("objects/*/*.json"))[0]
+    before = path.read_bytes()
+    path.write_bytes(content)
+    return path, before
+
+
+class TestAnEntryThatDoesNotDecodeIsAMiss:
+    """A torn entry is recomputed and replaced, never an error: the result
+    is byte-identical to a clean cold run, and the entry decodes again."""
+
+    @pytest.mark.parametrize("content", TORN.values(), ids=TORN.keys())
+    def test_get_raises_keyerror(self, tmp_path, content):
+        root = str(tmp_path / "store")
+        DiskStore(root).put(KEY_A, {"x": 1})
+        _tear(root, content)
+        store = DiskStore(root)
+        assert KEY_A in store
+        with pytest.raises(KeyError):
+            store.get(KEY_A)
+
+    @pytest.mark.parametrize("content", TORN.values(), ids=TORN.keys())
+    def test_repro_run_recomputes_it(self, tmp_path, content):
+        from repro.cli import main
+
+        root = str(tmp_path / "store")
+        clean, torn = tmp_path / "clean.json", tmp_path / "torn.json"
+        assert main(["run", "table1", "--quiet", "--store", root,
+                     "--json", str(clean)]) == 0
+        path, before = _tear(root, content)
+        assert main(["run", "table1", "--quiet", "--store", root,
+                     "--json", str(torn)]) == 0
+        assert torn.read_bytes() == clean.read_bytes()
+        assert path.read_bytes() == before
+        assert DiskStore(root).get(path.stem) == json.loads(before)
+
+    @pytest.mark.parametrize("content", TORN.values(), ids=TORN.keys())
+    def test_daemon_submit_recomputes_it(self, tmp_path, content):
+        from repro.service import ServiceClient, serve
+
+        root = str(tmp_path / "store")
+        server = serve(store=DiskStore(root), port=0, n_workers=1,
+                       processes=False)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            client = ServiceClient(server.url, timeout=30.0)
+
+            def submit():
+                job_id = client.submit("table1", seed=0)["job_id"]
+                assert client.wait(job_id, timeout=120)["status"] == "done"
+                return client.result_bytes(job_id)
+
+            clean = submit()
+            path, before = _tear(root, content)
+            assert submit() == clean
+        finally:
+            server.stop()
+            server.server_close()
+        assert path.read_bytes() == before

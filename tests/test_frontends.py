@@ -6,8 +6,9 @@ drive every point through one lifecycle
 (:class:`repro.core.engine.Point`), so one scenario at one seed must give
 byte-identical JSON through each of them.  The suite checks the
 scenarios whose cold run takes well under 0.1 s plus one cheap adaptive
-sweep; run the file as a script to check every registered scenario
-(about a minute on two cores)::
+sweep; run the file as a script to check every registered scenario, and
+its seed-0 points against ``tests/data/registry_digests.json`` (about a
+minute on two cores)::
 
     PYTHONPATH=src python tests/test_frontends.py
 """
@@ -161,15 +162,23 @@ class TestNoWorkerProcessOutlivesAFrontEnd:
 
 
 if __name__ == "__main__":
+    from registry_digests import load, points_digest
     from repro.scenarios import scenario_names
 
     names = scenario_names()
+    pinned = load()["scenarios"]
+    outputs = frontend_json([CampaignEntry(name) for name in names])
     mismatched = [
         f"{label}: {frontend} differs from run"
-        for label, by_frontend in frontend_json(
-            [CampaignEntry(name) for name in names]).items()
+        for label, by_frontend in outputs.items()
         for frontend in ("run-all", "submit")
         if by_frontend[frontend] != by_frontend["run"]]
+    mismatched += [
+        f"{name}: points differ from tests/data/registry_digests.json"
+        for name in names
+        if points_digest(outputs[name]["run"]) != pinned.get(
+            name, {}).get("points")]
     print("\n".join(mismatched) or
-          f"{len(names)} scenarios: run, run-all and submit agree")
+          f"{len(names)} scenarios: run, run-all and submit agree, "
+          f"and their points match the pinned digests")
     sys.exit(1 if mismatched else 0)

@@ -9,6 +9,7 @@ submit`` and the CI ``serve-smoke`` job.
 
 import json
 import os
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -140,6 +141,31 @@ class TestErrors:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 400
+
+    @pytest.mark.parametrize("length, status, error", [
+        (b"100000000000", 413, "exceeds the 1048576-byte limit"),
+        (b"-1", 400, "invalid Content-Length '-1'"),
+        (b"abc", 400, "invalid Content-Length 'abc'")])
+    def test_unusable_body_length_is_refused_unread(self, server, client,
+                                                    length, status, error):
+        # A raw socket declares a 100 GB body (or a negative length, which
+        # would read to end of stream, or no number at all), sends none of
+        # it and keeps the connection open: the answer must come at once,
+        # the connection must close (so no body byte is read as a next
+        # request), and the server must stay up.
+        host, port = server.server_address[:2]
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(b"POST /v1/scenarios HTTP/1.1\r\n"
+                         b"Host: localhost\r\n"
+                         b"Content-Type: application/json\r\n"
+                         b"Content-Length: " + length + b"\r\n\r\n")
+            response = b""
+            while chunk := sock.recv(65536):
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].startswith(b"HTTP/1.1 %d " % status)
+        assert error in json.loads(body)["error"]
+        assert client.health()["status"] == "ok"
 
     def test_result_of_running_job_is_409(self, server, client):
         gate = threading.Event()

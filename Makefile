@@ -59,14 +59,17 @@ dispatch-bench:
 frontends:
 	$(PYTHON) tests/test_frontends.py
 
-# Scenario benchmark smoke: the noc workload traced, then untraced.  Each
-# run exits 0 only when every output matches the reference; the traced
-# run also fails when layer spans cover < 90% of the scenarios' wall
-# time, which one noisy cold pass can miss, so its exit status is
+# Scenario benchmark smoke: the noc workload traced, then untraced, then
+# a short untraced served run (the daemon's batched dispatch).  Each run
+# exits 0 only when every output matches the reference — served also
+# fails on warm/cold byte differences and leftover pool processes; the
+# traced run also fails when layer spans cover < 90% of the scenarios'
+# wall time, which one noisy cold pass can miss, so its exit status is
 # reported but does not stop the target.
 perfbench:
 	-$(PYTHON) perfbench/run.py --workload noc --seed 0 --seconds 5 --trace 1
 	$(PYTHON) perfbench/run.py --workload noc --seed 0 --seconds 5 --trace 0
+	$(PYTHON) perfbench/run.py --workload served --seed 0 --seconds 5 --trace 0
 
 # The scenario registry: list everything runnable by name.
 scenarios:

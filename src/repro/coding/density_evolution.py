@@ -20,15 +20,18 @@ validate the predictions at a reduced BER target).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 from scipy.special import ndtr
 
 from repro.coding.protograph import (
+    PAPER_BLOCK_PROTOGRAPH,
     EdgeSpreading,
     Protograph,
     coupled_protograph,
+    paper_edge_spreading,
 )
 from repro.utils.units import db_to_linear
 
@@ -283,3 +286,24 @@ def window_de_threshold(spreading: EdgeSpreading, window_size: int,
         else:
             low = mid
     return float(high)
+
+
+@lru_cache(maxsize=None)
+def paper_de_threshold_db(family: str, window_size: int) -> float:
+    """Memoised DE threshold of the paper's (4,8)-regular codes.
+
+    ``"ldpc-cc"``: the window-decoding threshold of the coupled code
+    (:func:`~repro.coding.protograph.paper_edge_spreading`) at
+    ``window_size``; any other family: the BP threshold of the block
+    code (:data:`~repro.coding.protograph.PAPER_BLOCK_PROTOGRAPH`).  Both
+    are deterministic and independent of the lifting factor, so one memo
+    per process serves every caller — the scenario workers,
+    :meth:`repro.scenarios.specs.CodingSpec.de_threshold_db`, the
+    cross-layer surrogate and :class:`repro.core.link.WirelessBoardLink`.
+    """
+    if family == "ldpc-cc":
+        spreading = paper_edge_spreading()
+        return window_de_threshold(spreading, window_size,
+                                   rate=spreading.base.design_rate)
+    return gaussian_de_threshold(PAPER_BLOCK_PROTOGRAPH,
+                                 rate=PAPER_BLOCK_PROTOGRAPH.design_rate)

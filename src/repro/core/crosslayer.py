@@ -33,7 +33,6 @@ are used), so a scenario can thread one ``CodingSpec``/``PhySpec``/
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Optional
 
 from repro.utils.rng import RngLike
@@ -58,15 +57,6 @@ DEFAULT_MC_CODEWORDS = 8
 #: The residual-BER derivation methods :func:`link_flit_error_rate`
 #: accepts (``None`` means "surrogate unless mc_codewords is given").
 LINK_ERROR_METHODS = ("surrogate", "mc", "waveform")
-
-
-@lru_cache(maxsize=None)
-def _de_threshold_db(family: str, window_size: int) -> float:
-    """Memoised DE threshold (independent of lifting factor)."""
-    from repro.scenarios.specs import CodingSpec
-
-    return CodingSpec(family=family,
-                      window_size=window_size).de_threshold_db()
 
 
 def raw_channel_ber(ebn0_db: float, rate: float) -> float:
@@ -133,7 +123,7 @@ def coded_residual_ber(coding, ebn0_db: float, *,
                                    n_codewords=int(mc_codewords), rng=rng)
         return float(point.bit_error_rate)
     raw = raw_channel_ber(ebn0_db, coding.design_rate)
-    threshold_db = _de_threshold_db(coding.family, coding.window_size)
+    threshold_db = coding.de_threshold_db()
     waterfall = 0.5 * math.erfc(waterfall_slope_per_db
                                 * (float(ebn0_db) - threshold_db))
     return raw * waterfall

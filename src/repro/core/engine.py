@@ -37,7 +37,11 @@ that pattern:
 
 A worker is any callable ``worker(params, rng)`` taking the parameter
 mapping of one point and a dedicated :class:`numpy.random.Generator`.
-Workers that additionally expose *incremental evaluation* (the
+A worker may also offer ``call_batch(params_list, rngs)``, which must
+return exactly ``[worker(p, rng) for p, rng in zip(params_list, rngs)]``
+— bit for bit — while paying a kernel's per-step overhead once for all
+points (the NoC simulator workers run one merged cycle loop).  Workers
+that additionally expose *incremental evaluation* (the
 ``decode``/``encode``/``advance``/``satisfied``/``progress``/``finalize``
 protocol documented on :meth:`SweepEngine.sweep_adaptive`) can instead be
 swept **adaptively**: each point runs until a
@@ -52,12 +56,17 @@ service (:mod:`repro.service.daemon`) — plans a sweep with
 :func:`plan_sweep`, wraps each planned point in a :class:`Point` and
 drives it through the same steps: :meth:`Point.resolve` (one store lookup;
 an adaptive point decodes its stored tally and checks the stopping
-rule), :meth:`Point.task` (the picklable pool task),
-:meth:`Point.record` (store, canonicalize and — adaptive — finalize) and
-:meth:`Point.error` (the attributed :class:`SweepPointError`).
-:func:`run_points` is the shared back half: it runs pending points
-serially or through a :class:`~repro.core.pool.WorkerPool`, sharding
-deep adaptive points across a multi-process pool.
+rule), then the pending points as :func:`point_groups` — the
+non-adaptive points sharing a ``call_batch`` worker form one group,
+every other point a group of one — each computed by one
+:func:`group_task` (the picklable pool task, one result per point),
+:meth:`Point.record` (store, canonicalize and — adaptive — finalize)
+and, for a failing group, :meth:`Point.error` of its first point (the
+attributed :class:`SweepPointError`).  :func:`run_points` is the shared
+back half: it runs the groups serially or, split into at most
+``n_workers`` chunks, through a :class:`~repro.core.pool.WorkerPool`,
+sharding deep adaptive points across a multi-process pool; the service
+dispatches a job's groups whole.
 
 :meth:`repro.coding.ber.BerSimulator.ber_curve`,
 :func:`repro.coding.ber.required_ebn0_db` (probe seeding) and
@@ -234,17 +243,29 @@ def plan_sweep(worker: SweepWorker, points: Iterable[Mapping[str, Any]],
     return planned
 
 
-def _evaluate_point(worker: SweepWorker, params: Mapping[str, Any],
-                    seed_sequence: np.random.SeedSequence) -> Any:
-    """Top-level so the process-pool path can pickle it."""
-    return worker(params, np.random.default_rng(seed_sequence))
+def _evaluate_points(worker: SweepWorker,
+                     params_list: Sequence[Mapping[str, Any]],
+                     seed_sequences: Sequence[np.random.SeedSequence]
+                     ) -> List[Any]:
+    """One group's values, in point order (top-level so the process-pool
+    path can pickle it): the worker's own call for a group of one, its
+    ``call_batch`` for a larger group."""
+    rngs = [np.random.default_rng(seed) for seed in seed_sequences]
+    if len(rngs) == 1:
+        return [worker(params_list[0], rngs[0])]
+    values = list(worker.call_batch(params_list, rngs))
+    if len(values) != len(rngs):
+        raise ValueError(f"call_batch returned {len(values)} values for "
+                         f"{len(rngs)} points")
+    return values
 
 
 def _advance_point(worker: Any, params: Mapping[str, Any], state: Any,
                    seed_sequence: np.random.SeedSequence,
-                   rule: Any) -> Any:
-    """Adaptive counterpart of :func:`_evaluate_point` (picklable)."""
-    return worker.advance(params, state, seed_sequence, rule)
+                   rule: Any) -> List[Any]:
+    """Adaptive counterpart of :func:`_evaluate_points` (picklable): the
+    advanced state of a group of one."""
+    return [worker.advance(params, state, seed_sequence, rule)]
 
 
 def _advance_shard(worker: Any, params: Mapping[str, Any],
@@ -262,10 +283,11 @@ class Point:
     and campaign entry ``label`` failures are attributed to.  A
     non-``None`` stopping ``rule`` makes the point adaptive: its store
     entry is the worker's encoded tally, not a final value.  The steps:
-    :meth:`resolve`; if still pending, :meth:`task`, run, then
-    :meth:`record` (or :meth:`error`); a twin takes the result with
-    :meth:`share`.  ``value``, ``from_cache`` and ``coalesced`` hold the
-    outcome.
+    :meth:`resolve`; if still pending, it joins a group
+    (:func:`point_groups`) whose :func:`group_task` runs, then
+    :meth:`record` (or, as the group's first point, :meth:`error`); a
+    twin takes the result with :meth:`share`.  ``value``, ``from_cache``
+    and ``coalesced`` hold the outcome.
     """
 
     __slots__ = ("planned", "worker", "rule", "scenario", "label", "value",
@@ -313,16 +335,6 @@ class Point:
                 self.value = worker.finalize(self.planned.params, self.state)
         self.from_cache = hit
         return hit
-
-    def task(self) -> PoolTask:
-        """The point's computation as a picklable pool task."""
-        planned = self.planned
-        if self.rule is None:
-            return PoolTask(fn=_evaluate_point, worker=self.worker,
-                            args=(planned.params, planned.seed_sequence))
-        return PoolTask(fn=_advance_point, worker=self.worker,
-                        args=(planned.params, self.state,
-                              planned.seed_sequence, self.rule))
 
     def record(self, store: RunStore, result: Any) -> None:
         """Keep a computed ``result``, storing it first when cacheable.
@@ -392,17 +404,68 @@ class Point:
                 "spawn_key": list(self.planned.spawn_key)}
 
 
+def point_groups(points: Sequence[Point],
+                 n_chunks: int = 1) -> List[List[Point]]:
+    """Pending points as dispatch groups, each computed by one task.
+
+    Non-adaptive points sharing one worker object that offers
+    ``call_batch(params_list, rngs)`` — a contract to return exactly
+    ``[worker(p, rng) for p, rng in zip(params_list, rngs)]`` — form one
+    group, split into at most ``n_chunks`` contiguous chunks of near-equal
+    size; every other point is a group of one.  Groups come in the order
+    of their first points, their points in ``points`` order.
+    """
+    groups: List[List[Point]] = []
+    batched: Dict[int, List[Point]] = {}
+    for point in points:
+        if point.rule is None and callable(getattr(point.worker,
+                                                   "call_batch", None)):
+            group = batched.get(id(point.worker))
+            if group is None:
+                group = batched[id(point.worker)] = []
+                groups.append(group)
+            group.append(point)
+        else:
+            groups.append([point])
+    if n_chunks < 2 or not batched:
+        return groups
+    chunked = []
+    for group in groups:
+        parts = min(n_chunks, len(group))
+        bounds = [len(group) * part // parts for part in range(parts + 1)]
+        chunked.extend(group[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
+    return chunked
+
+
+def group_task(group: Sequence[Point]) -> PoolTask:
+    """A group's computation as one picklable pool task returning one
+    result per point: the values of a non-adaptive group, the advanced
+    state of an adaptive point."""
+    first = group[0]
+    if first.rule is None:
+        return PoolTask(fn=_evaluate_points, worker=first.worker,
+                        args=([point.planned.params for point in group],
+                              [point.planned.seed_sequence
+                               for point in group]))
+    return PoolTask(fn=_advance_point, worker=first.worker,
+                    args=(first.planned.params, first.state,
+                          first.planned.seed_sequence, first.rule))
+
+
 def run_points(points: Sequence[Point], store: RunStore,
                pool: Optional[WorkerPool] = None) -> None:
     """Compute pending points, recording each into ``store``.
 
     The shared back half of :class:`SweepEngine` and the campaign
-    runner.  Without a ``pool`` the points run serially; with one, as
-    fail-fast :meth:`~repro.core.pool.WorkerPool.execute` batches.
-    Either way each completion is recorded as it arrives (an
-    interrupted run resumes from what finished), and the first worker
-    exception — queued work cancelled, in-flight work killed —
-    re-raises as the failing point's :meth:`Point.error`.
+    runner.  The points run as :func:`point_groups` — one task per
+    group, so the points of one sweep whose worker offers
+    ``call_batch`` share one call.  Without a ``pool`` the groups run
+    serially; with one, split into at most ``pool.n_workers`` chunks
+    each, as fail-fast :meth:`~repro.core.pool.WorkerPool.execute`
+    batches.  Either way each completed group is recorded as it arrives
+    (an interrupted run resumes from what finished), and the first
+    worker exception — queued work cancelled, in-flight work killed —
+    re-raises as :meth:`Point.error` of the failing group's first point.
 
     On a pool of more than one process, an adaptive point whose worker
     exposes the shard protocol advances in rounds instead: each round
@@ -419,22 +482,27 @@ def run_points(points: Sequence[Point], store: RunStore,
     replay and storage representations identical.
     """
     if pool is None:
-        for point in points:
-            task = point.task()
+        for group in point_groups(points):
+            task = group_task(group)
             try:
-                result = task.fn(task.worker, *task.args)
+                results = task.fn(task.worker, *task.args)
             except Exception as exc:
-                raise point.error(exc) from exc
-            point.record(store, result)
+                raise group[0].error(exc) from exc
+            for point, result in zip(group, results):
+                point.record(store, result)
         return
     n_shards = pool.n_workers
     ramp: Dict[Point, int] = {}          # sharded point -> batches/shard
-    tasks: List[Tuple[Tuple[Point, Optional[int]], PoolTask]] = []
-    for point in points:
+    # Task ids: (group, None) for a group's task, ((point,), shard) for
+    # one shard of a sharded point.
+    tasks: List[Tuple[Tuple[Tuple[Point, ...], Optional[int]],
+                      PoolTask]] = []
+    for group in point_groups(points, n_shards):
+        point = group[0]
         if point.rule is None or n_shards < 2 or not all(
                 callable(getattr(point.worker, name, None))
                 for name in ("cursor", "advance_shard", "absorb")):
-            tasks.append(((point, None), point.task()))
+            tasks.append(((tuple(group), None), group_task(group)))
         elif point.worker.satisfied(point.state, point.rule):
             point.record(store, point.state)
         else:
@@ -442,16 +510,18 @@ def run_points(points: Sequence[Point], store: RunStore,
             tasks.extend(_shard_tasks(point, ramp[point], n_shards))
     deltas: Dict[Tuple[Point, int], List[Any]] = {}
 
-    def record(task_id: Tuple[Point, Optional[int]], result: Any) -> None:
-        point, shard = task_id
+    def record(task_id: Tuple[Tuple[Point, ...], Optional[int]],
+               result: Any) -> None:
+        group, shard = task_id
         if shard is None:
-            point.record(store, result)
+            for point, value in zip(group, result):
+                point.record(store, value)
         else:
-            deltas[task_id] = result
+            deltas[(group[0], shard)] = result
 
     while tasks:
         pool.execute(tasks, record=record,
-                     error=lambda task_id, exc: task_id[0].error(exc))
+                     error=lambda task_id, exc: task_id[0][0].error(exc))
         tasks = []
         for point in list(ramp):
             worker, rule, state = point.worker, point.rule, point.state
@@ -469,7 +539,7 @@ def run_points(points: Sequence[Point], store: RunStore,
 
 
 def _shard_tasks(point: Point, ramp: int, n_shards: int
-                 ) -> List[Tuple[Tuple[Point, int], PoolTask]]:
+                 ) -> List[Tuple[Tuple[Tuple[Point], int], PoolTask]]:
     """One sharded round of ``point``: ``n_shards`` tasks over its next
     consecutive batch indices, ``ramp`` batches per shard at most.
 
@@ -490,7 +560,7 @@ def _shard_tasks(point: Point, ramp: int, n_shards: int
             per_batch = max(1, done // start)
             needed = -(-(int(max_units) - done) // per_batch)
             per = min(per, max(1, -(-needed // n_shards)))
-    return [((point, shard), PoolTask(
+    return [(((point,), shard), PoolTask(
         fn=_advance_shard, worker=worker,
         args=(point.planned.params, point.planned.seed_sequence,
               list(range(start + shard * per, start + (shard + 1) * per)))))

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from repro.channel.link_budget import LinkBudget, PAPER_LINK_BUDGET, LinkBudgetParameters
-from repro.coding.density_evolution import window_de_threshold
+from repro.coding.density_evolution import paper_de_threshold_db
 from repro.coding.latency import window_decoder_structural_latency
 from repro.coding.protograph import paper_edge_spreading
 from repro.phy.information_rate import sequence_information_rate
@@ -121,7 +121,6 @@ class WirelessBoardLink:
         self.dual_polarization = bool(dual_polarization)
         self._spreading = paper_edge_spreading()
         self._code_rate = self._spreading.base.design_rate
-        self._coding_threshold_db: Optional[float] = None
 
     # ------------------------------------------------------------------
     @property
@@ -130,11 +129,9 @@ class WirelessBoardLink:
         return self._code_rate
 
     def coding_threshold_ebn0_db(self) -> float:
-        """Asymptotic Eb/N0 required by the window decoder (cached)."""
-        if self._coding_threshold_db is None:
-            self._coding_threshold_db = window_de_threshold(
-                self._spreading, self.window_size, rate=self._code_rate)
-        return self._coding_threshold_db
+        """Asymptotic Eb/N0 required by the window decoder (memoised per
+        window size by the coding layer)."""
+        return paper_de_threshold_db("ldpc-cc", self.window_size)
 
     def received_snr_db(self, tx_power_dbm: float) -> float:
         """Received SNR for a transmit power (Section II link budget)."""
@@ -202,7 +199,10 @@ class WirelessBoardLink:
         achievable rate in bits per channel use is multiplied by the symbol
         rate, the code rate and, if enabled, the two polarisations.
         """
-        rate_bpcu = self.information_rate_bpcu(snr_db, n_symbols=n_symbols)
+        return self._data_rate_gbps(
+            self.information_rate_bpcu(snr_db, n_symbols=n_symbols))
+
+    def _data_rate_gbps(self, rate_bpcu: float) -> float:
         symbol_rate = self.budget.parameters.bandwidth_hz
         polarisations = 2.0 if self.dual_polarization else 1.0
         return float(rate_bpcu * symbol_rate * self._code_rate
@@ -222,7 +222,7 @@ class WirelessBoardLink:
         snr_db = self.received_snr_db(tx_power_dbm)
         information_rate = self.information_rate_bpcu(snr_db,
                                                       n_symbols=n_symbols)
-        data_rate = self.data_rate_gbps(snr_db, n_symbols=n_symbols)
+        data_rate = self._data_rate_gbps(information_rate)
         threshold = self.coding_threshold_ebn0_db()
         latency = window_decoder_structural_latency(
             self.window_size, self.lifting_factor, 2, self._code_rate)

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -117,6 +117,12 @@ def _finish(injection_rate: float, latency_sum: float, delivered: int,
                             accepted_throughput=float(throughput),
                             saturated=saturated,
                             retransmitted_flits=int(retransmitted))
+
+
+def _check_horizon(n_cycles: int, warmup_cycles: int) -> None:
+    check_positive("n_cycles", n_cycles)
+    if warmup_cycles < 0 or warmup_cycles >= n_cycles:
+        raise ValueError("warmup_cycles must lie in [0, n_cycles)")
 
 
 class NocSimulator:
@@ -273,32 +279,35 @@ class NocSimulator:
         from the latency statistics.
         """
         check_non_negative("injection_rate", injection_rate)
-        check_positive("n_cycles", n_cycles)
-        if warmup_cycles < 0 or warmup_cycles >= n_cycles:
-            raise ValueError("warmup_cycles must lie in [0, n_cycles)")
-        return self._run_merged(injection_rate, int(n_cycles),
-                                int(warmup_cycles), [ensure_rng(rng)])[0]
+        _check_horizon(n_cycles, warmup_cycles)
+        return _run_merged([self], [injection_rate], [ensure_rng(rng)],
+                           int(n_cycles), int(warmup_cycles))[0]
 
-    def run_batch(self, injection_rate: float, n_cycles: int = 5_000,
+    def run_batch(self, injection_rate, n_cycles: int = 5_000,
                   warmup_cycles: int = 1_000, rngs=None,
                   n_replications: Optional[int] = None,
-                  rng: RngLike = None) -> List[SimulationResult]:
+                  rng: RngLike = None,
+                  simulators: Optional[Sequence["NocSimulator"]] = None
+                  ) -> List[SimulationResult]:
         """Run several independent replications in one merged cycle loop.
 
         The replications are simulated as one system whose queue/packet id
-        spaces are partitioned per replication: replication ``r``'s queue
-        ``q`` is global queue ``r*n_queues + q``, so replications never
+        spaces are partitioned per replication: replication ``r``'s queues
+        are a contiguous block of global queue ids, so replications never
         interact and each per-replication result is **bit-identical** to a
-        solo :meth:`run` with the same generator (including lossy-link
-        retransmission draws).  The per-cycle Python/NumPy dispatch
-        overhead — which dominates the solo engine on the paper's 64-module
-        topologies — is paid once for all replications instead of once per
-        replication.
+        solo :meth:`run` of its simulator with the same rate and generator
+        (including lossy-link retransmission draws).  The per-cycle
+        Python/NumPy dispatch overhead — which dominates the solo engine on
+        the paper's 64-module topologies — is paid once for all
+        replications instead of once per replication.
 
         Parameters
         ----------
-        injection_rate, n_cycles, warmup_cycles:
-            As in :meth:`run`.
+        injection_rate:
+            One offered load for every replication, or a sequence holding
+            one per replication.
+        n_cycles, warmup_cycles:
+            As in :meth:`run`; shared by every replication.
         rngs:
             Explicit per-replication seeds/generators.  Each entry yields
             the same result a solo ``run(..., rng=entry)`` would.
@@ -307,15 +316,16 @@ class NocSimulator:
             generators from ``rng``.
         rng:
             Parent generator for ``n_replications``.
+        simulators:
+            Optional per-replication simulators — each may differ in
+            topology, traffic, routing, latencies, buffer depth and link
+            error rate; by default every replication runs this one.
 
         Returns
         -------
         One :class:`SimulationResult` per replication, in input order.
         """
-        check_non_negative("injection_rate", injection_rate)
-        check_positive("n_cycles", n_cycles)
-        if warmup_cycles < 0 or warmup_cycles >= n_cycles:
-            raise ValueError("warmup_cycles must lie in [0, n_cycles)")
+        _check_horizon(n_cycles, warmup_cycles)
         if rngs is not None:
             if n_replications is not None and n_replications != len(rngs):
                 raise ValueError("pass either rngs or n_replications, "
@@ -329,193 +339,18 @@ class NocSimulator:
                                           int(n_replications))
         if not generators:
             raise ValueError("run_batch needs at least one replication")
-        return self._run_merged(injection_rate, int(n_cycles),
-                                int(warmup_cycles), generators)
-
-    def _run_merged(self, injection_rate: float, n_cycles: int,
-                    warmup_cycles: int, generators) -> List[SimulationResult]:
-        """The cycle engine over ``len(generators)`` merged replications."""
-        n_reps = len(generators)
-        topology = self.topology
-        n_modules = topology.n_modules
-        concentration = topology.concentration
-        measured_cycles = n_cycles - warmup_cycles
-
-        per_rep = [self._pregenerate_injections(injection_rate, n_cycles,
-                                                generator)
-                   for generator in generators]
-        pkt_counts = np.array([sources.size for sources, _, _ in per_rep],
-                              dtype=np.int64)
-        n_packets = int(pkt_counts.sum())
-        if n_packets == 0:
-            return [_finish(injection_rate, 0.0, 0, 0, measured_cycles,
-                            n_modules) for _ in generators]
-
-        tables = self._tables
-        n_links = tables["n_links"]
-        n_queues = tables["n_queues"]
-        first_q_flat = tables["first_q"].ravel()
-        next_q_flat = tables["next_q"].ravel()
-        n_routers = topology.n_routers
-        total_queues = n_reps * n_queues
-
-        source_module = np.concatenate([p[0] for p in per_rep])
-        destination_module = np.concatenate([p[1] for p in per_rep])
-        creation = np.concatenate([p[2] for p in per_rep])
-        pkt_rep = np.repeat(np.arange(n_reps, dtype=np.int64), pkt_counts)
-
-        pkt_dest = destination_module // concentration
-        pkt_first = pkt_rep * n_queues \
-            + first_q_flat[(source_module // concentration) * n_routers
-                           + pkt_dest]
-        pkt_measured = creation >= warmup_cycles
-        pkt_ready = creation + self.pipeline_latency_cycles
-        offered_measured = np.zeros(n_reps, dtype=np.int64)
-        np.add.at(offered_measured, pkt_rep[pkt_measured], 1)
-        # Packets in (cycle, replication, module) order: a stable sort by
-        # creation keeps each replication's within-cycle order, so every
-        # queue receives its packets in exactly the solo-run order.
-        injection_order = np.argsort(creation, kind="stable")
-        cycle_start = np.zeros(n_cycles + 1, dtype=np.int64)
-        np.cumsum(np.bincount(creation, minlength=n_cycles),
-                  out=cycle_start[1:])
-        rep_queue_bounds = n_queues * np.arange(1, n_reps, dtype=np.int64)
-
-        # One flat ring buffer of packet ids for all channels of all
-        # replications; grown by doubling whenever any queue would
-        # overflow its slice.
-        capacity = 16
-        buf = np.zeros(total_queues * capacity, dtype=np.int64)
-        base = np.arange(total_queues, dtype=np.int64) * capacity
-        head = np.zeros(total_queues, dtype=np.int64)
-        count = np.zeros(total_queues, dtype=np.int64)
-
-        def grow() -> None:
-            nonlocal buf, capacity, base
-            old = buf.reshape(total_queues, capacity)
-            positions = (head[:, None]
-                         + np.arange(capacity)[None, :]) & (capacity - 1)
-            capacity *= 2
-            buf = np.zeros(total_queues * capacity, dtype=np.int64)
-            buf.reshape(total_queues, capacity)[:, :capacity // 2] = \
-                old[np.arange(total_queues)[:, None], positions]
-            head[:] = 0
-            base = np.arange(total_queues, dtype=np.int64) * capacity
-
-        def push(queues: np.ndarray, packets: np.ndarray) -> None:
-            # Grouped tail insert: stable order by queue keeps the within-
-            # cycle arrival order deterministic (module-ascending for
-            # injections, channel-ascending for forwards; replication
-            # queue id ranges are disjoint, so merged pushes preserve each
-            # replication's solo order).
-            order = np.argsort(queues, kind="stable")
-            sorted_q = queues[order]
-            rank = (np.arange(sorted_q.size)
-                    - np.searchsorted(sorted_q, sorted_q))
-            while int((count[sorted_q] + rank).max()) >= capacity:
-                grow()
-            slots = base[sorted_q] + ((head[sorted_q] + count[sorted_q]
-                                       + rank) & (capacity - 1))
-            buf[slots] = packets[order]
-            np.add.at(count, sorted_q, 1)
-
-        depth = self.buffer_depth_flits
-        lossy = self.link_error_rate > 0.0
-        error_rate = self.link_error_rate
-        forward_delay = (max(self.pipeline_latency_cycles, 1)
-                        + self.link_latency_cycles)
-        delivered_measured = np.zeros(n_reps, dtype=np.int64)
-        latency_sum = np.zeros(n_reps, dtype=np.int64)
-        retransmitted = np.zeros(n_reps, dtype=np.int64)
-
-        for cycle in range(n_cycles):
-            # --- injection (pre-generated, pushed in module order) ------
-            first, last = cycle_start[cycle], cycle_start[cycle + 1]
-            if last > first:
-                ids = injection_order[first:last]
-                push(pkt_first[ids], ids)
-
-            # --- one service decision per channel per cycle -------------
-            head_packet = buf[base + (head & (capacity - 1))]
-            ready = (count > 0) & (pkt_ready[head_packet] <= cycle)
-            if not ready.any():
-                continue
-            serviced = np.flatnonzero(ready)
-            serviced_packet = head_packet[serviced]
-
-            if lossy:
-                # Each attempted link traversal fails independently; the
-                # flit stays at the head of its buffer and retries next
-                # cycle.  Ejection ports are local and lossless.  Each
-                # replication draws from its own generator, over its own
-                # (ascending-id) serviced queues — exactly the solo-run
-                # stream.
-                attempts = (serviced % n_queues) < n_links
-                if n_reps == 1:
-                    draws = generators[0].random(serviced.size)
-                else:
-                    sizes = np.diff(np.concatenate(
-                        ([0], np.searchsorted(serviced, rep_queue_bounds),
-                         [serviced.size])))
-                    draws = np.concatenate(
-                        [generator.random(int(size))
-                         for generator, size in zip(generators, sizes)])
-                failed = attempts & (draws < error_rate)
-                if failed.any():
-                    pkt_ready[serviced_packet[failed]] = cycle + 1
-                    np.add.at(retransmitted,
-                              serviced[failed] // n_queues, 1)
-                    kept = ~failed
-                    serviced = serviced[kept]
-                    serviced_packet = serviced_packet[kept]
-
-            ejecting = (serviced % n_queues) >= n_links
-            if ejecting.any():
-                ejected = serviced_packet[ejecting]
-                measured = pkt_measured[ejected]
-                if measured.any():
-                    done = ejected[measured]
-                    reps = pkt_rep[done]
-                    np.add.at(delivered_measured, reps, 1)
-                    np.add.at(latency_sum, reps,
-                              (cycle + 1) - creation[done])
-
-            forward_q = serviced[~ejecting]
-            forward_p = serviced_packet[~ejecting]
-            if forward_q.size:
-                target = (forward_q // n_queues) * n_queues \
-                    + next_q_flat[(forward_q % n_queues) * n_routers
-                                  + pkt_dest[forward_p]]
-                if depth:
-                    # Backpressure: only advance into a link buffer with a
-                    # free slot at the cycle's occupancy (ejection ports
-                    # are sinks and never block); contending flits are
-                    # admitted in channel order, the rest stall in place.
-                    order = np.argsort(target, kind="stable")
-                    sorted_t = target[order]
-                    rank = (np.arange(sorted_t.size)
-                            - np.searchsorted(sorted_t, sorted_t))
-                    admitted_sorted = rank < depth - count[sorted_t]
-                    admitted = np.empty(sorted_t.size, dtype=bool)
-                    admitted[order] = admitted_sorted
-                    admitted |= (target % n_queues) >= n_links
-                    forward_q = forward_q[admitted]
-                    forward_p = forward_p[admitted]
-                    target = target[admitted]
-                pkt_ready[forward_p] = cycle + forward_delay
-
-            popped = (np.concatenate([serviced[ejecting], forward_q])
-                      if depth else serviced)
-            count[popped] -= 1
-            head[popped] += 1
-            if forward_q.size:
-                push(target, forward_p)
-
-        return [_finish(injection_rate, int(latency_sum[rep]),
-                        int(delivered_measured[rep]),
-                        int(offered_measured[rep]), measured_cycles,
-                        n_modules, int(retransmitted[rep]))
-                for rep in range(n_reps)]
+        rates = (list(injection_rate) if np.ndim(injection_rate)
+                 else [injection_rate] * len(generators))
+        simulators = ([self] * len(generators) if simulators is None
+                      else list(simulators))
+        if len(rates) != len(generators) or \
+                len(simulators) != len(generators):
+            raise ValueError("run_batch needs one injection rate and one "
+                             "simulator per replication")
+        for rate in rates:
+            check_non_negative("injection_rate", rate)
+        return _run_merged(simulators, rates, generators, int(n_cycles),
+                           int(warmup_cycles))
 
     # ------------------------------------------------------------------
     def latency_sweep(self, injection_rates, n_cycles: int = 5_000,
@@ -539,11 +374,221 @@ class NocSimulator:
         return engine.sweep_values(worker, points, rng=rng)
 
 
+def _run_merged(simulators: Sequence[NocSimulator], injection_rates,
+                generators, n_cycles: int,
+                warmup_cycles: int) -> List[SimulationResult]:
+    """The cycle engine over ``len(generators)`` merged replications.
+
+    Replication ``r`` runs ``simulators[r]`` at ``injection_rates[r]``
+    with ``generators[r]``.  Its queues are the global ids
+    ``offset[r] .. offset[r] + n_queues[r] - 1`` (its local ids shifted),
+    so every per-queue table below is the concatenation of the
+    replications' own, and a replication's queues, packets and draws never
+    meet another's: each result is bit-identical to a solo run.
+    """
+    n_reps = len(generators)
+    measured_cycles = n_cycles - warmup_cycles
+    per_rep = [simulator._pregenerate_injections(rate, n_cycles, generator)
+               for simulator, rate, generator
+               in zip(simulators, injection_rates, generators)]
+    pkt_counts = np.array([sources.size for sources, _, _ in per_rep],
+                          dtype=np.int64)
+    n_packets = int(pkt_counts.sum())
+    if n_packets == 0:
+        return [_finish(rate, 0.0, 0, 0, measured_cycles,
+                        simulator.topology.n_modules)
+                for simulator, rate in zip(simulators, injection_rates)]
+
+    # Global queue layout and the per-queue tables of the cycle loop:
+    # whether a queue is a link (else an ejection port), where its row of
+    # the merged next-hop table starts, its replication's buffer depth,
+    # forward delay and link error rate.
+    tables = [simulator._tables for simulator in simulators]
+    n_queues = np.array([table["n_queues"] for table in tables],
+                        dtype=np.int64)
+    offset = np.concatenate(([0], np.cumsum(n_queues)))
+    total_queues = int(offset[-1])
+    queue_rep = np.repeat(np.arange(n_reps, dtype=np.int64), n_queues)
+    is_link = np.concatenate([np.arange(table["n_queues"]) < table["n_links"]
+                              for table in tables])
+    next_rows, row_start, next_base = [], [], 0
+    pkt_first, pkt_dest, pkt_ready = [], [], []
+    for rep, (simulator, table, (sources, destinations, creation)) in \
+            enumerate(zip(simulators, tables, per_rep)):
+        n_routers = simulator.topology.n_routers
+        concentration = simulator.topology.concentration
+        next_rows.append(table["next_q"].ravel() + offset[rep])
+        row_start.append(next_base + n_routers
+                         * np.arange(table["n_queues"], dtype=np.int64))
+        next_base += table["next_q"].size
+        dest = destinations // concentration
+        pkt_dest.append(dest)
+        pkt_first.append(offset[rep] + table["first_q"].ravel()[
+            (sources // concentration) * n_routers + dest])
+        pkt_ready.append(creation + simulator.pipeline_latency_cycles)
+    next_global = np.concatenate(next_rows)
+    row_start = np.concatenate(row_start)
+    pkt_first = np.concatenate(pkt_first)
+    pkt_dest = np.concatenate(pkt_dest)
+    pkt_ready = np.concatenate(pkt_ready)
+    creation = np.concatenate([p[2] for p in per_rep])
+    pkt_rep = np.repeat(np.arange(n_reps, dtype=np.int64), pkt_counts)
+
+    forward_delay = np.array([max(simulator.pipeline_latency_cycles, 1)
+                              + simulator.link_latency_cycles
+                              for simulator in simulators],
+                             dtype=np.int64)[queue_rep]
+    depths = [simulator.buffer_depth_flits for simulator in simulators]
+    # Per-queue buffer limit when any replication has finite buffers; an
+    # infinite buffer's limit exceeds any occupancy, so it never blocks.
+    depth = (None if not any(depths) else np.array(
+        [value or n_packets + 1 for value in depths],
+        dtype=np.int64)[queue_rep])
+    error_rates = np.array([simulator.link_error_rate
+                            for simulator in simulators])
+    lossy_reps = np.flatnonzero(error_rates > 0.0)
+    error_rate = error_rates[queue_rep]
+
+    pkt_measured = creation >= warmup_cycles
+    offered_measured = np.zeros(n_reps, dtype=np.int64)
+    np.add.at(offered_measured, pkt_rep[pkt_measured], 1)
+    # Packets in (cycle, replication, module) order: a stable sort by
+    # creation keeps each replication's within-cycle order, so every
+    # queue receives its packets in exactly the solo-run order.
+    injection_order = np.argsort(creation, kind="stable")
+    cycle_start = np.zeros(n_cycles + 1, dtype=np.int64)
+    np.cumsum(np.bincount(creation, minlength=n_cycles),
+              out=cycle_start[1:])
+
+    # One flat ring buffer of packet ids for all channels of all
+    # replications; grown by doubling whenever any queue would overflow
+    # its slice.
+    capacity = 16
+    buf = np.zeros(total_queues * capacity, dtype=np.int64)
+    base = np.arange(total_queues, dtype=np.int64) * capacity
+    head = np.zeros(total_queues, dtype=np.int64)
+    count = np.zeros(total_queues, dtype=np.int64)
+
+    def grow() -> None:
+        nonlocal buf, capacity, base
+        old = buf.reshape(total_queues, capacity)
+        positions = (head[:, None]
+                     + np.arange(capacity)[None, :]) & (capacity - 1)
+        capacity *= 2
+        buf = np.zeros(total_queues * capacity, dtype=np.int64)
+        buf.reshape(total_queues, capacity)[:, :capacity // 2] = \
+            old[np.arange(total_queues)[:, None], positions]
+        head[:] = 0
+        base = np.arange(total_queues, dtype=np.int64) * capacity
+
+    def push(queues: np.ndarray, packets: np.ndarray) -> None:
+        # Grouped tail insert: stable order by queue keeps the within-
+        # cycle arrival order deterministic (module-ascending for
+        # injections, channel-ascending for forwards; replication queue
+        # id ranges are disjoint, so merged pushes preserve each
+        # replication's solo order).
+        order = np.argsort(queues, kind="stable")
+        sorted_q = queues[order]
+        rank = (np.arange(sorted_q.size)
+                - np.searchsorted(sorted_q, sorted_q))
+        while int((count[sorted_q] + rank).max()) >= capacity:
+            grow()
+        slots = base[sorted_q] + ((head[sorted_q] + count[sorted_q]
+                                   + rank) & (capacity - 1))
+        buf[slots] = packets[order]
+        np.add.at(count, sorted_q, 1)
+
+    delivered_measured = np.zeros(n_reps, dtype=np.int64)
+    latency_sum = np.zeros(n_reps, dtype=np.int64)
+    retransmitted = np.zeros(n_reps, dtype=np.int64)
+
+    for cycle in range(n_cycles):
+        # --- injection (pre-generated, pushed in module order) ----------
+        first, last = cycle_start[cycle], cycle_start[cycle + 1]
+        if last > first:
+            ids = injection_order[first:last]
+            push(pkt_first[ids], ids)
+
+        # --- one service decision per channel per cycle -----------------
+        head_packet = buf[base + (head & (capacity - 1))]
+        ready = (count > 0) & (pkt_ready[head_packet] <= cycle)
+        if not ready.any():
+            continue
+        serviced = np.flatnonzero(ready)
+        serviced_packet = head_packet[serviced]
+
+        if lossy_reps.size:
+            # Each attempted link traversal fails independently; the flit
+            # stays at the head of its buffer and retries next cycle.
+            # Ejection ports are local and lossless.  Each lossy
+            # replication draws from its own generator, over its own
+            # (ascending-id) serviced queues — exactly the solo-run
+            # stream; a lossless one draws nothing, as solo.
+            bounds = np.searchsorted(serviced, offset)
+            draws = np.ones(serviced.size)
+            for rep in lossy_reps:
+                lo, hi = bounds[rep], bounds[rep + 1]
+                if hi > lo:
+                    draws[lo:hi] = generators[rep].random(int(hi - lo))
+            failed = is_link[serviced] & (draws < error_rate[serviced])
+            if failed.any():
+                pkt_ready[serviced_packet[failed]] = cycle + 1
+                np.add.at(retransmitted, queue_rep[serviced[failed]], 1)
+                kept = ~failed
+                serviced = serviced[kept]
+                serviced_packet = serviced_packet[kept]
+
+        ejecting = ~is_link[serviced]
+        if ejecting.any():
+            ejected = serviced_packet[ejecting]
+            measured = pkt_measured[ejected]
+            if measured.any():
+                done = ejected[measured]
+                reps = pkt_rep[done]
+                np.add.at(delivered_measured, reps, 1)
+                np.add.at(latency_sum, reps, (cycle + 1) - creation[done])
+
+        forward_q = serviced[~ejecting]
+        forward_p = serviced_packet[~ejecting]
+        if forward_q.size:
+            target = next_global[row_start[forward_q] + pkt_dest[forward_p]]
+            if depth is not None:
+                # Backpressure: only advance into a link buffer with a
+                # free slot at the cycle's occupancy (ejection ports are
+                # sinks and never block); contending flits are admitted in
+                # channel order, the rest stall in place.
+                order = np.argsort(target, kind="stable")
+                sorted_t = target[order]
+                rank = (np.arange(sorted_t.size)
+                        - np.searchsorted(sorted_t, sorted_t))
+                admitted_sorted = rank < depth[sorted_t] - count[sorted_t]
+                admitted = np.empty(sorted_t.size, dtype=bool)
+                admitted[order] = admitted_sorted
+                admitted |= ~is_link[target]
+                forward_q = forward_q[admitted]
+                forward_p = forward_p[admitted]
+                target = target[admitted]
+            pkt_ready[forward_p] = cycle + forward_delay[forward_q]
+
+        popped = (np.concatenate([serviced[ejecting], forward_q])
+                  if depth is not None else serviced)
+        count[popped] -= 1
+        head[popped] += 1
+        if forward_q.size:
+            push(target, forward_p)
+
+    return [_finish(rate, int(latency_sum[rep]), int(delivered_measured[rep]),
+                    int(offered_measured[rep]), measured_cycles,
+                    simulator.topology.n_modules, int(retransmitted[rep]))
+            for rep, (simulator, rate)
+            in enumerate(zip(simulators, injection_rates))]
+
+
 @dataclass(frozen=True)
 class _LatencySweepWorker:
     """Picklable sweep worker running a simulator at one rate."""
 
-    simulator: object
+    simulator: NocSimulator
     n_cycles: int
     warmup_cycles: int
 
@@ -552,3 +597,10 @@ class _LatencySweepWorker:
                                   n_cycles=self.n_cycles,
                                   warmup_cycles=self.warmup_cycles,
                                   rng=rng)
+
+    def call_batch(self, params_list, rngs) -> List[SimulationResult]:
+        """Every point in one merged cycle loop (equal to the calls)."""
+        return self.simulator.run_batch(
+            [params["injection_rate"] for params in params_list],
+            n_cycles=self.n_cycles, warmup_cycles=self.warmup_cycles,
+            rngs=rngs)

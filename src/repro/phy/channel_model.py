@@ -271,8 +271,15 @@ class OversampledOneBitChannel:
         """
         indices = np.asarray(indices, dtype=int).reshape(-1)
         states = np.zeros(indices.size, dtype=int)
-        state = 0
-        for position, index in enumerate(indices):
-            states[position] = state
-            state = self.next_state(state, int(index))
+        if self._memory == 0:
+            return states
+        if indices.size and not (0 <= indices.min()
+                                 and indices.max() < self._order):
+            raise ValueError("input index out of range")
+        # The state before symbol k is the shift register of the
+        # ``memory`` previous indices, the most recent one the most
+        # significant base-``order`` digit (see :meth:`next_state`).
+        for lag in range(1, self._memory + 1):
+            states[lag:] += indices[:-lag] * self._order ** (self._memory
+                                                             - lag)
         return states

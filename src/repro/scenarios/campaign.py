@@ -8,13 +8,15 @@ built programmatically, from the whole registry
 :class:`~repro.core.pool.WorkerPool`.  Every point follows the engine's
 one lifecycle (:class:`repro.core.engine.Point`): resolved against the
 store, coalesced with any twin entry that computes the same thing, run
-by :func:`repro.core.engine.run_points` — which shards deep adaptive
-points across a multi-process pool exactly as
-:class:`~repro.core.engine.SweepEngine` does — and recorded.  Points are
-interleaved round-robin across scenarios, so a short sweep never
-serializes behind a long one, and every completed point is written to
-the campaign's :class:`repro.core.store.RunStore` immediately — an
-interrupted campaign re-run against the same
+by :func:`repro.core.engine.run_points` — which computes the points of
+a scenario whose worker offers ``call_batch`` as one call (split into
+at most one chunk per pool process) and shards deep adaptive points
+across a multi-process pool exactly as
+:class:`~repro.core.engine.SweepEngine` does — and recorded.  Points are interleaved round-robin across
+scenarios (a batched group at its first point's turn), so a short
+sweep never serializes behind a long one, and every completed point is
+written to the campaign's :class:`repro.core.store.RunStore`
+immediately — an interrupted campaign re-run against the same
 :class:`~repro.core.store.DiskStore` resumes from whatever already
 finished.
 

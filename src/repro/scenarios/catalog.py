@@ -28,6 +28,9 @@ from typing import Mapping, Tuple
 
 import numpy as np
 
+# The workers' bodies call the coding layer's memo by this name.
+from repro.coding.density_evolution import \
+    paper_de_threshold_db as _de_threshold_db
 from repro.scenarios.registry import Overrides, register_scenario
 from repro.scenarios.scenario import Scenario
 from repro.scenarios.specs import (
@@ -40,13 +43,6 @@ from repro.scenarios.specs import (
 )
 
 HORN_GAIN_DB = 2 * 9.5  # standard-gain horns on both VNA ports
-
-
-@lru_cache(maxsize=None)
-def _de_threshold_db(family: str, window_size: int) -> float:
-    """Memoised density-evolution threshold (independent of lifting)."""
-    return CodingSpec(family=family,
-                      window_size=window_size).de_threshold_db()
 
 
 # ======================================================================
@@ -955,6 +951,25 @@ def _beamforming_sweep(overrides: Overrides) -> Scenario:
 # ======================================================================
 # Off-paper — analytic NoC model vs cycle-level simulation
 # ======================================================================
+def _per_spec(specs, build) -> list:
+    """``build(spec)`` for each point's spec, built once per distinct spec."""
+    built = {}
+    for spec in specs:
+        if spec not in built:
+            built[spec] = build(spec)
+    return [built[spec] for spec in specs]
+
+
+def _simulate_batch(specs, rates, rngs, n_cycles: int,
+                    warmup_cycles: int) -> list:
+    """Each point's ``spec.make_simulator().run(rate, rng=...)``, all in
+    one merged cycle loop (:meth:`NocSimulator.run_batch`)."""
+    simulators = _per_spec(specs, lambda spec: spec.make_simulator())
+    return simulators[0].run_batch(rates, n_cycles=n_cycles,
+                                   warmup_cycles=warmup_cycles, rngs=rngs,
+                                   simulators=simulators)
+
+
 @dataclass(frozen=True)
 class _NocCrosscheckWorker:
     variants: Tuple[Tuple[str, NocSpec], ...]
@@ -975,6 +990,24 @@ class _NocCrosscheckWorker:
             "accepted_throughput": simulated.accepted_throughput,
             "saturated": simulated.saturated,
         }
+
+    def call_batch(self, params_list, rngs) -> list:
+        """Every point's value, the simulations in one cycle loop."""
+        variants = dict(self.variants)
+        specs = [variants[params["topology"]] for params in params_list]
+        rates = [params["injection_rate"] for params in params_list]
+        models = _per_spec(specs, lambda spec: spec.make_model())
+        analytic = [model.mean_latency(rate)
+                    for model, rate in zip(models, rates)]
+        simulated = _simulate_batch(specs, rates, rngs, self.n_cycles,
+                                    self.warmup_cycles)
+        return [{
+            "analytic_latency_cycles": latency,
+            "simulated_latency_cycles": result.mean_latency_cycles,
+            "delivered_packets": result.delivered_packets,
+            "accepted_throughput": result.accepted_throughput,
+            "saturated": result.saturated,
+        } for latency, result in zip(analytic, simulated)]
 
 
 # ======================================================================
@@ -1003,6 +1036,25 @@ class _NocEngineSweepWorker:
             "delivered_packets": simulated.delivered_packets,
             "accepted_throughput": simulated.accepted_throughput,
         }
+
+    def call_batch(self, params_list, rngs) -> list:
+        """Every point's value, the simulations in one cycle loop."""
+        variants = dict(self.variants)
+        specs = [variants[params["topology"]] for params in params_list]
+        rates = [params["injection_rate"] for params in params_list]
+        models = _per_spec(specs, lambda spec: spec.make_model())
+        analytic = [model.evaluate(rate)
+                    for model, rate in zip(models, rates)]
+        simulated = _simulate_batch(specs, rates, rngs, self.n_cycles,
+                                    self.warmup_cycles)
+        return [{
+            "analytic_latency_cycles": estimate.mean_latency_cycles,
+            "simulated_latency_cycles": result.mean_latency_cycles,
+            "analytic_saturated": estimate.saturated,
+            "simulated_saturated": result.saturated,
+            "delivered_packets": result.delivered_packets,
+            "accepted_throughput": result.accepted_throughput,
+        } for estimate, result in zip(analytic, simulated)]
 
 
 @register_scenario("noc-hotspot-sweep", "off-paper",
@@ -1069,6 +1121,21 @@ class _BufferDepthWorker:
             "saturated": result.saturated,
         }
 
+    def call_batch(self, params_list, rngs) -> list:
+        """Every point's value, the simulations in one cycle loop."""
+        specs = [self.noc.replace(
+            buffer_depth_flits=params["buffer_depth_flits"])
+            for params in params_list]
+        results = _simulate_batch(specs, [self.injection_rate] * len(specs),
+                                  rngs, self.n_cycles, self.warmup_cycles)
+        return [{
+            "mean_latency_cycles": result.mean_latency_cycles,
+            "accepted_throughput": result.accepted_throughput,
+            "delivered_packets": result.delivered_packets,
+            "offered_packets": result.offered_packets,
+            "saturated": result.saturated,
+        } for result in results]
+
 
 @register_scenario("noc-buffer-depth-sweep", "off-paper",
                    "Backpressure ablation: latency/throughput vs buffer depth")
@@ -1122,6 +1189,26 @@ class _LossyLinkWorker:
             "accepted_throughput": result.accepted_throughput,
             "saturated": result.saturated,
         }
+
+    def call_batch(self, params_list, rngs) -> list:
+        """Every point's value, the simulations in one cycle loop."""
+        error_rates = [self.noc.replace(
+            ebn0_db=params["ebn0_db"],
+            link_error_rate=0.0).effective_link_error_rate(
+                self.coding, self.phy, self.channel)
+            for params in params_list]
+        specs = [self.noc.replace(link_error_rate=error_rate, ebn0_db=None)
+                 for error_rate in error_rates]
+        results = _simulate_batch(specs, [self.injection_rate] * len(specs),
+                                  rngs, self.n_cycles, self.warmup_cycles)
+        return [{
+            "link_flit_error_rate": error_rate,
+            "mean_latency_cycles": result.mean_latency_cycles,
+            "retransmitted_flits": result.retransmitted_flits,
+            "delivered_packets": result.delivered_packets,
+            "accepted_throughput": result.accepted_throughput,
+            "saturated": result.saturated,
+        } for error_rate, result in zip(error_rates, results)]
 
 
 @register_scenario("noc-lossy-link-sweep", "off-paper",

@@ -376,22 +376,10 @@ class CodingSpec(SpecBase):
                                              self.design_rate)
 
     def de_threshold_db(self) -> float:
-        """Asymptotic Eb/N0 threshold from density evolution."""
-        from repro.coding.density_evolution import (
-            gaussian_de_threshold,
-            window_de_threshold,
-        )
-        from repro.coding.protograph import (
-            PAPER_BLOCK_PROTOGRAPH,
-            paper_edge_spreading,
-        )
+        """Asymptotic Eb/N0 threshold from density evolution (memoised)."""
+        from repro.coding.density_evolution import paper_de_threshold_db
 
-        if self.family == "ldpc-cc":
-            return window_de_threshold(paper_edge_spreading(),
-                                       self.window_size,
-                                       rate=self.design_rate)
-        return gaussian_de_threshold(PAPER_BLOCK_PROTOGRAPH,
-                                     rate=self.design_rate)
+        return paper_de_threshold_db(self.family, self.window_size)
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,9 @@
 :class:`~repro.core.pool.WorkerPool`, and serves scenario submissions
 decomposed to **point granularity**.  Every point follows the engine's
 one lifecycle (:class:`repro.core.engine.Point`, held per job as a
-:class:`~repro.service.jobs.PointSlot`), one point per dispatcher:
+:class:`~repro.service.jobs.PointSlot`), and the points a job must
+compute are dispatched as the engine's groups
+(:func:`repro.core.engine.point_groups`), one group per dispatcher:
 
 * **Admission** (:meth:`submit` / :meth:`submit_scenario`) plans the
   scenario through :func:`repro.core.engine.plan_sweep` and resolves
@@ -14,19 +16,23 @@ one lifecycle (:class:`repro.core.engine.Point`, held per job as a
   point whose computation is already *in flight* (same
   :meth:`Point.coalesce_key`) joins it as a follower (two clients
   submitting the same spec share one computation), and only genuinely
-  new points are enqueued.
-* **Scheduling** is a priority queue at point granularity: interactive
-  submissions rank ahead of bulk campaign sweeps, so an interactive
-  request enqueued behind a long campaign starts as soon as the next
-  worker frees up — running points are never interrupted.  Each
-  dispatcher runs one point's :meth:`Point.task` at a time through
-  :meth:`~repro.core.pool.WorkerPool.run_one`, so a failing point fails
-  only its own job and never aborts the pool the other dispatchers
-  share; with ``n_workers`` dispatchers the pool stays busy whenever
-  enough points are queued.
-* **Recording** writes every completed point to the store the moment it
-  finishes (:meth:`Point.record`; for adaptive-precision jobs, the
-  upgraded tally), then shares the canonical result with every follower.
+  new points are enqueued — the job's non-adaptive points whose worker
+  offers ``call_batch`` as one group, every other point as a group of
+  one.
+* **Scheduling** is a priority queue of groups: interactive submissions
+  rank ahead of bulk campaign sweeps, so an interactive request
+  enqueued behind a long campaign starts as soon as the next worker
+  frees up.  A group is one unit that cannot be preempted: running
+  groups are never interrupted, and a batched group runs whole.  Each
+  dispatcher runs one group's :func:`~repro.core.engine.group_task` at
+  a time through :meth:`~repro.core.pool.WorkerPool.run_one`, so a
+  failing group fails only its own job (as the group's first point) and
+  never aborts the pool the other dispatchers share; with ``n_workers``
+  dispatchers the pool stays busy whenever enough groups are queued.
+* **Recording** writes every completed point to the store the moment
+  its group finishes (:meth:`Point.record`; for adaptive-precision
+  jobs, the upgraded tally), then shares the canonical result with
+  every follower.
 * **Shutdown** (:meth:`shutdown`) stops admission, drains the points
   that are already running — their results and partial tallies are
   persisted like any other completion — and cancels what was still
@@ -52,7 +58,7 @@ import threading
 import time
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.core.engine import plan_sweep
+from repro.core.engine import group_task, plan_sweep, point_groups
 from repro.core.pool import WorkerPool
 from repro.core.store import MemoryStore, RunStore
 from repro.scenarios.scenario import Scenario
@@ -74,7 +80,7 @@ class CampaignService:
         :class:`~repro.core.store.MemoryStore`; the daemon CLI passes a
         :class:`~repro.core.store.DiskStore`).
     n_workers:
-        Number of points evaluated concurrently (dispatcher threads,
+        Number of groups evaluated concurrently (dispatcher threads,
         and the process-pool size when ``processes=True``).
     processes:
         Evaluate points in a shared :class:`~repro.core.pool.WorkerPool`
@@ -96,8 +102,8 @@ class CampaignService:
             WorkerPool(self.n_workers) if processes else None)
         self._lock = threading.Lock()
         self._completion = threading.Condition(self._lock)
-        # (rank, sequence, job, slot); the unique sequence number means
-        # entries never compare their job or slot.
+        # (rank, sequence, job, group of slots); the unique sequence
+        # number means entries never compare their job or group.
         self._queue: "queue.PriorityQueue[Tuple[int, int, Any, Any]]" \
             = queue.PriorityQueue()
         self._seq = itertools.count()
@@ -163,58 +169,60 @@ class CampaignService:
                       seed=seed if isinstance(seed, int) else None,
                       slots=slots)
             self._jobs[job.id] = job
-            for slot in job.slots:
-                self._admit_point(job, slot)
+            primaries = [slot for slot in job.slots
+                         if self._admit_point(job, slot)]
+            for group in point_groups(primaries):
+                self._enqueue(job, group)
             job.mark_finished_if_complete()
             return job.descriptor(include_points=False)
 
-    def _admit_point(self, job: Job, slot: PointSlot) -> None:
-        """Serve one point from the store, join an in-flight twin, or
-        enqueue it (caller holds the lock)."""
+    def _admit_point(self, job: Job, slot: PointSlot) -> bool:
+        """Serve one point from the store or join an in-flight twin;
+        True when it must be computed (caller holds the lock)."""
         if slot.resolve(self.store):
             slot.status = "done"
             self._counters["store_hits"] += 1
-            return
+            return False
         key = slot.coalesce_key()
         if key is not None:
-            group = self._in_flight.setdefault(key, [])
-            group.append((job, slot))
-            if len(group) > 1:
-                return
-        self._enqueue(job, slot)
+            twins = self._in_flight.setdefault(key, [])
+            twins.append((job, slot))
+            return len(twins) == 1
+        return True
 
-    def _enqueue(self, job: Job, slot: PointSlot) -> None:
+    def _enqueue(self, job: Job, group: List[PointSlot]) -> None:
         self._queue.put((PRIORITY_RANKS[job.priority], next(self._seq),
-                         job, slot))
+                         job, group))
 
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
     def _dispatch_loop(self) -> None:
         while True:
-            rank, _, job, slot = self._queue.get()
+            rank, _, job, group = self._queue.get()
             if job is None:              # shutdown sentinel (rank -1)
                 return
             with self._lock:
                 if job.error is not None or job.cancelled:
-                    self._skip_dead_task(slot)
+                    for slot in group:
+                        self._skip_dead_task(slot)
                     continue
                 job.mark_started()
                 self._busy += 1
-                task = slot.task()
+                task = group_task(group)
             try:
                 try:
                     if self._pool is not None:
-                        # run_one: a point failure stays this point's
+                        # run_one: a group failure stays this job's
                         # failure — the shared pool (and the other
-                        # dispatchers' in-flight points) live on.
-                        result = self._pool.run_one(task)
+                        # dispatchers' in-flight groups) live on.
+                        results = self._pool.run_one(task)
                     else:
-                        result = task.fn(task.worker, *task.args)
+                        results = task.fn(task.worker, *task.args)
                 except Exception as exc:
-                    self._record_failure(job, slot, exc)
+                    self._record_failure(job, group, exc)
                 else:
-                    self._record_success(job, slot, result)
+                    self._record_success(job, group, results)
             finally:
                 with self._lock:
                     self._busy -= 1
@@ -226,14 +234,15 @@ class CampaignService:
         (caller holds the lock)."""
         slot.status = "skipped"
         key = slot.coalesce_key()
-        group = self._in_flight.get(key) if key is not None else None
-        if not group or group[0][1] is not slot:
+        twins = self._in_flight.get(key) if key is not None else None
+        if not twins or twins[0][1] is not slot:
             return
-        live = [(job, twin) for job, twin in group[1:]
+        live = [(job, twin) for job, twin in twins[1:]
                 if job.error is None and not job.cancelled]
         if live:
             self._in_flight[key] = live
-            self._enqueue(*live[0])
+            job, twin = live[0]
+            self._enqueue(job, [twin])
         else:
             del self._in_flight[key]
 
@@ -241,28 +250,32 @@ class CampaignService:
         """End the in-flight computation ``slot`` ran, returning the
         followers waiting on it (caller holds the lock)."""
         key = slot.coalesce_key()
-        group = self._in_flight.pop(key, None) if key is not None else None
-        return group[1:] if group else []
+        twins = self._in_flight.pop(key, None) if key is not None else None
+        return twins[1:] if twins else []
 
     # ------------------------------------------------------------------
     # recording
     # ------------------------------------------------------------------
-    def _record_success(self, job: Job, slot: PointSlot,
-                        result: Any) -> None:
+    def _record_success(self, job: Job, group: List[PointSlot],
+                        results: List[Any]) -> None:
         with self._lock:
-            slot.record(self.store, result)
-            slot.status = "done"
-            self._counters["computed"] += 1
+            for slot, result in zip(group, results):
+                slot.record(self.store, result)
+                slot.status = "done"
+                self._counters["computed"] += 1
+                for follower_job, follower in self._followers(slot):
+                    follower.share(slot)
+                    follower.status = "done"
+                    self._counters["coalesced"] += 1
+                    follower_job.mark_finished_if_complete()
             job.mark_finished_if_complete()
-            for follower_job, follower in self._followers(slot):
-                follower.share(slot)
-                follower.status = "done"
-                self._counters["coalesced"] += 1
-                follower_job.mark_finished_if_complete()
             self._completion.notify_all()
 
-    def _record_failure(self, job: Job, slot: PointSlot,
+    def _record_failure(self, job: Job, group: List[PointSlot],
                         exc: Exception) -> None:
+        """The group failed as its first point; its other points are
+        skipped like any queued point of a failed job."""
+        slot = group[0]
         with self._lock:
             slot.status = "failed"
             job.error = str(slot.error(exc))
@@ -272,6 +285,8 @@ class CampaignService:
             for follower_job, follower in self._followers(slot):
                 follower.status = "failed"
                 follower_job.error = str(follower.error(exc))
+            for other in group[1:]:
+                self._skip_dead_task(other)
             self._completion.notify_all()
 
     # ------------------------------------------------------------------
@@ -327,6 +342,8 @@ class CampaignService:
     def stats(self) -> Dict[str, Any]:
         """Operational statistics (``GET /v1/stats``).
 
+        ``queue_depth`` counts queued dispatch groups, so a job's batched
+        points are one entry, and ``dispatch.tasks`` one task per group.
         ``store`` embeds the manifest-backed :meth:`RunStore.info`, so
         reporting key counts and byte sizes does not walk the store.
         ``dispatch`` reports the worker pool's warm-dispatch counters —
@@ -369,13 +386,14 @@ class CampaignService:
     # shutdown
     # ------------------------------------------------------------------
     def shutdown(self, timeout: Optional[float] = None) -> Dict[str, Any]:
-        """Graceful stop: refuse new work, drain running points, cancel
+        """Graceful stop: refuse new work, drain running groups, cancel
         the rest.
 
-        Sentinels are injected *ahead* of every queued point (rank -1),
+        Sentinels are injected *ahead* of every queued group (rank -1),
         so dispatchers finish only what they had already started —
-        every running point is recorded and persisted (including partial
-        adaptive tallies), then the pool is shut down.  Jobs left with
+        every point of a running group is recorded and persisted
+        (including partial adaptive tallies), then the pool is shut
+        down.  Jobs left with
         unserved points are marked ``cancelled``; their completed points
         remain fetchable.  Idempotent.
         """

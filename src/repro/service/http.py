@@ -27,7 +27,9 @@ handling on top (see ``python -m repro serve``).
 from __future__ import annotations
 
 import json
+import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
@@ -38,8 +40,11 @@ from repro.utils.serialization import jsonify
 #: Default TCP port of ``python -m repro serve``.
 DEFAULT_PORT = 8765
 #: Largest request body the service reads (a scenario request is under
-#: 1 KB); a request declaring more is answered 413 unread.
+#: 1 KB); a request declaring more is answered 413 and its body discarded.
 MAX_BODY_BYTES = 1 << 20
+#: Longest time a refused request's unread body is drained before the
+#: connection closes, so that a client still sending it reads the answer.
+LINGER_S = 2.0
 
 
 class _UnreadBody(Exception):
@@ -100,6 +105,26 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
 
     def _send_error_json(self, status: int, message: str) -> None:
         self._send_json(status, {"error": message})
+
+    def _linger(self) -> None:
+        """Close after a refused body without resetting the connection.
+
+        The answer is complete, so the write side is shut (the client
+        reads the answer to its end); what the client still sends is
+        discarded until it stops or :data:`LINGER_S` passes.  Closing
+        with that input unread would reset the connection, and a client
+        still sending its body would see a broken pipe, not the answer.
+        """
+        connection = self.connection
+        try:
+            connection.shutdown(socket.SHUT_WR)
+            deadline = time.monotonic() + LINGER_S
+            while (remaining := deadline - time.monotonic()) > 0:
+                connection.settimeout(remaining)
+                if not connection.recv(1 << 16):
+                    break
+        except OSError:  # timed out, or the client went away
+            pass
 
     def _read_payload(self) -> Any:
         declared = (self.headers.get("Content-Length") or "0").strip()
@@ -172,10 +197,12 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             try:
                 payload = self._read_payload()
             except _UnreadBody as error:
-                # The body stays unread: close rather than parse it as
-                # the next request on this connection.
+                # The body is never parsed: answer, drain what the client
+                # still sends, and close rather than read it as the next
+                # request on this connection.
                 self.close_connection = True
                 self._send_error_json(*error.args)
+                self._linger()
                 return
             except ValueError:
                 self._send_error_json(400, "request body is not valid JSON")

@@ -1,9 +1,9 @@
 """Jobs of the campaign service: requests, per-point slots, lifecycle.
 
-A *job* is one submitted scenario run, decomposed into point-granular
-tasks at admission: every point is a :class:`PointSlot` — the engine's
-one point lifecycle (:class:`repro.core.engine.Point`: seed sequence,
-store key, resolve / task / record) plus its scheduling status.  The
+A *job* is one submitted scenario run, decomposed into points at
+admission: every point is a :class:`PointSlot` — the engine's one point
+lifecycle (:class:`repro.core.engine.Point`: seed sequence, store key,
+resolve / record) plus its scheduling status.  The
 daemon (:mod:`repro.service.daemon`) mutates jobs only under its own
 lock; this module holds the passive data model plus the request-payload
 validation, so the HTTP layer and tests can reason about job state
@@ -27,8 +27,10 @@ from repro.utils.serialization import to_plain
 
 #: Admission priorities, lower rank dispatched first: interactive
 #: single-scenario requests preempt (jump the queue of) bulk campaign
-#: sweeps.  Running points are never interrupted — preemption is at
-#: point granularity, which is exactly why jobs are decomposed.
+#: sweeps.  Preemption is at the granularity of a dispatch group: a
+#: group — one point, or a job's points batched through their worker's
+#: ``call_batch`` — is one unit that cannot be preempted, and running
+#: groups are never interrupted.
 PRIORITY_RANKS: Dict[str, int] = {"interactive": 0, "bulk": 10}
 
 #: Payload keys accepted by ``POST /v1/scenarios``.

@@ -23,7 +23,7 @@ from typing import Deque, Dict, List, Tuple
 import numpy as np
 
 from repro.noc.routing import DimensionOrderedRouting
-from repro.noc.simulator import SimulationResult, _finish, _LatencySweepWorker
+from repro.noc.simulator import SimulationResult, _finish
 from repro.noc.topology import GridTopology
 from repro.noc.traffic import UniformTraffic, _TrafficPattern
 from repro.utils.rng import RngLike, ensure_rng
@@ -182,10 +182,27 @@ class ReferenceNocSimulator:
 
         if engine is None:
             engine = SweepEngine()
-        worker = _LatencySweepWorker(self, int(n_cycles), int(warmup_cycles))
+        worker = _ReferenceSweepWorker(self, int(n_cycles),
+                                       int(warmup_cycles))
         points = [{"injection_rate": float(rate)}
                   for rate in injection_rates]
         return engine.sweep_values(worker, points, rng=rng)
+
+
+@dataclass(frozen=True)
+class _ReferenceSweepWorker:
+    """Sweep worker running the reference simulator at one rate (one
+    point per call: the reference engine has no merged loop)."""
+
+    simulator: ReferenceNocSimulator
+    n_cycles: int
+    warmup_cycles: int
+
+    def __call__(self, params, rng) -> SimulationResult:
+        return self.simulator.run(params["injection_rate"],
+                                  n_cycles=self.n_cycles,
+                                  warmup_cycles=self.warmup_cycles,
+                                  rng=rng)
 
 
 @dataclass

@@ -23,7 +23,7 @@ from repro.coding.protograph import paper_edge_spreading
 from repro.coding.window_decoder import WindowDecoder
 from repro.noc.simulator import NocSimulator
 from repro.noc.topology import Mesh2D, Mesh3D
-from repro.noc.traffic import TransposeTraffic
+from repro.noc.traffic import HotspotTraffic, TransposeTraffic
 from repro.phy.channel_model import OversampledOneBitChannel
 from repro.phy.modulation import AskConstellation
 from repro.phy.pulse import ramp_pulse, sequence_optimized_pulse
@@ -213,3 +213,32 @@ class TestNocBatchBitIdentity:
         assert len(batch) == len(solo)
         for a, b in zip(solo, batch):
             assert _noc_stats(a) == _noc_stats(b)
+
+    def test_mixed_batch_matches_each_solo_run(self):
+        # One merged loop over replications that differ in everything a
+        # simulator holds: two topologies, transpose and hotspot traffic,
+        # a finite buffer depth, a lossy link, latencies and rates.
+        replications = [
+            (NocSimulator(Mesh2D(4, 4), traffic_class=TransposeTraffic),
+             0.08, 7),
+            (NocSimulator(Mesh3D(3, 3, 3), traffic_class=HotspotTraffic,
+                          buffer_depth_flits=2), 0.05, 19),
+            (NocSimulator(Mesh2D(4, 4), traffic_class=HotspotTraffic,
+                          link_error_rate=0.05), 0.04, 101),
+            (NocSimulator(Mesh3D(3, 3, 3), traffic_class=TransposeTraffic,
+                          buffer_depth_flits=1, link_error_rate=0.1,
+                          pipeline_latency_cycles=3,
+                          link_latency_cycles=1), 0.2, 5),
+        ]
+        solo = [simulator.run(rate, n_cycles=1200, warmup_cycles=200,
+                              rng=seed)
+                for simulator, rate, seed in replications]
+        simulators, rates, seeds = zip(*replications)
+        batch = simulators[0].run_batch(rates, n_cycles=1200,
+                                        warmup_cycles=200, rngs=seeds,
+                                        simulators=simulators)
+        assert [result.retransmitted_flits > 0 for result in solo] \
+            == [False, False, True, True]
+        assert batch == solo
+        assert [_noc_stats(result) for result in batch] \
+            == [_noc_stats(result) for result in solo]

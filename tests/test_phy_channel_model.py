@@ -145,6 +145,38 @@ class TestSimulation:
         states = memory_channel.state_sequence(indices)
         np.testing.assert_array_equal(states, [0, 0, 1, 2, 3])
 
+    @pytest.mark.parametrize("span", [1, 2, 3, 4])
+    def test_state_sequence_matches_the_next_state_loop(self, span):
+        # The shift-register arithmetic against the symbol-by-symbol
+        # next_state walk it replaced, byte for byte.
+        from repro.phy.pulse import ramp_pulse
+
+        channel = OversampledOneBitChannel(
+            pulse=ramp_pulse(5, span_symbols=span), snr_db=20.0)
+        assert channel.memory == span - 1
+        rng = np.random.default_rng(span)
+        for size in (0, 1, span, 6000):
+            indices = rng.integers(0, channel.order, size)
+            expected = np.zeros(size, dtype=int)
+            state = 0
+            for position, index in enumerate(indices):
+                expected[position] = state
+                state = channel.next_state(state, int(index))
+            states = channel.state_sequence(indices)
+            assert states.dtype == expected.dtype
+            assert states.tobytes() == expected.tobytes()
+
+    def test_state_sequence_rejects_out_of_range_indices(self,
+                                                         memory_channel,
+                                                         memoryless_channel):
+        with pytest.raises(ValueError, match="out of range"):
+            memory_channel.state_sequence([0, 1, 4])
+        with pytest.raises(ValueError, match="out of range"):
+            memory_channel.state_sequence([-1, 0])
+        # Without memory there is no register, and the index is unused.
+        np.testing.assert_array_equal(
+            memoryless_channel.state_sequence([0, 9]), [0, 0])
+
     def test_invalid_simulation_length(self, memory_channel):
         with pytest.raises(ValueError):
             memory_channel.simulate(0)

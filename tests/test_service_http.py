@@ -167,6 +167,21 @@ class TestErrors:
         assert error in json.loads(body)["error"]
         assert client.health()["status"] == "ok"
 
+    def test_a_client_still_sending_an_oversized_body_reads_the_413(
+            self, server, client):
+        # urllib sends the whole 64 MiB body before it reads a reply; the
+        # server answers at once and drains the body, so the client reads
+        # the 413 rather than a broken pipe or a reset connection.
+        request = urllib.request.Request(
+            server.url + "/v1/scenarios", data=b" " * (64 << 20),
+            method="POST", headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=30)
+        assert excinfo.value.code == 413
+        assert "exceeds the 1048576-byte limit" in json.loads(
+            excinfo.value.read())["error"]
+        assert client.health()["status"] == "ok"
+
     def test_result_of_running_job_is_409(self, server, client):
         gate = threading.Event()
 

@@ -38,7 +38,9 @@ REDUCED = os.environ.get("REPRO_DISPATCH_BENCH", "").lower() == "reduced"
 #: Warm-pool workload: repeat sweeps of a cheap function over big state.
 TABLE_MB = 4 if REDUCED else 8
 N_POINTS = 8 if REDUCED else 16
-N_SWEEPS = 2 if REDUCED else 3
+#: Three sweeps in both modes: with two, the reduced warm side lasted
+#: 0.06-0.15 s and host jitter alone pushed it under the 3x floor.
+N_SWEEPS = 3
 N_WORKERS = 2
 MIN_WARM_SPEEDUP = 3.0
 

@@ -22,7 +22,10 @@ one is available, falling back to row-by-row decoding otherwise.  A
 consecutive ``(n,)`` draws, so — given a batch decoder that is
 row-equivalent to the scalar one — the batched path returns the same
 :class:`BerPoint` as the original per-codeword loop at a fixed seed (the
-test suite keeps that loop as its oracle).
+test suite keeps that loop as its oracle).  For the same reason
+:meth:`BerSimulator.simulate_sweep` can decode the codewords of several
+fixed-count points in one call and still return each point's
+:meth:`~BerSimulator.simulate` result.
 """
 
 from __future__ import annotations
@@ -254,11 +257,15 @@ class BerSimulator:
         self.batch_size = int(batch_size)
         if frontend is None:
             frontend = BpskAwgnFrontend(rate=self.rate)
-        elif abs(float(frontend.rate) - self.rate) > 1e-12:
+        self._check_rate(frontend)
+        self.frontend = frontend
+
+    def _check_rate(self, frontend) -> None:
+        """Refuse a frontend whose Eb/N0 conversion uses another rate."""
+        if abs(float(frontend.rate) - self.rate) > 1e-12:
             raise ValueError(
                 f"frontend rate {frontend.rate} does not match the "
                 f"simulator rate {self.rate}")
-        self.frontend = frontend
 
     def noise_std(self, ebn0_db: float) -> float:
         """Noise standard deviation at an Eb/N0 operating point."""
@@ -286,17 +293,20 @@ class BerSimulator:
             decisions[row] = decided
         return decisions
 
-    def _append_batch(self, batch: int, ebn0_db: float,
-                      generator: np.random.Generator, tally: BerTally,
-                      max_bit_errors: Optional[int]) -> bool:
-        """Transmit/decode one batch into ``tally``; True when the
-        error-count stopping rule fired (which truncates the tally)."""
+    def _transmit(self, frontend, batch: int, ebn0_db: float,
+                  generator: np.random.Generator) -> np.ndarray:
+        """LLRs of ``batch`` all-zero codewords sent through ``frontend``."""
         codewords = np.zeros((batch, self.codeword_length), dtype=np.int8)
-        llrs = np.asarray(self.frontend.transmit_llrs(
+        llrs = np.asarray(frontend.transmit_llrs(
             codewords, ebn0_db, generator), dtype=float)
         if llrs.shape != codewords.shape:
             raise ValueError("frontend returned the wrong LLR shape")
-        decisions = self._decode_rows(llrs)
+        return llrs
+
+    def _tally_rows(self, decisions: np.ndarray, tally: BerTally,
+                    max_bit_errors: Optional[int]) -> bool:
+        """Add decoded rows to ``tally`` in row order; True when the
+        error-count stopping rule fired (which truncates the tally)."""
         errors_per_row = np.count_nonzero(decisions, axis=1)
         for errors in errors_per_row:
             errors = int(errors)
@@ -309,6 +319,15 @@ class BerSimulator:
                 tally.truncated = True
                 return True
         return False
+
+    def _append_batch(self, batch: int, ebn0_db: float,
+                      generator: np.random.Generator, tally: BerTally,
+                      max_bit_errors: Optional[int]) -> bool:
+        """Transmit/decode one batch into ``tally``; True when the
+        error-count stopping rule fired (which truncates the tally)."""
+        llrs = self._transmit(self.frontend, batch, ebn0_db, generator)
+        return self._tally_rows(self._decode_rows(llrs), tally,
+                                max_bit_errors)
 
     def simulate_tally(self, ebn0_db: float, tally: BerTally,
                        rng: RngLike = None, n_codewords: int = 50,
@@ -372,6 +391,46 @@ class BerSimulator:
                                     n_codewords=n_codewords,
                                     max_bit_errors=max_bit_errors)
         return tally.to_point(ebn0_db)
+
+    def simulate_sweep(self, ebn0_dbs, rngs, frontends,
+                       n_codewords: int = 50) -> list:
+        """Fixed-count BER points whose codewords are decoded together.
+
+        Point ``i`` is exactly the :class:`BerPoint` of
+        ``simulate(ebn0_dbs[i], n_codewords, rngs[i])`` on this simulator
+        with ``frontends[i]`` as its frontend.  Each point's batches of
+        up to ``batch_size`` codewords are drawn in order on its own
+        generator — decoding draws nothing — and its rows are tallied in
+        row order.  Only the decoding is shared, one round of batches at
+        a time: batch ``r`` of every point goes to the decoder as one
+        ``(len(ebn0_dbs) * size, n)`` batch.  A batch decoder so pays its
+        per-call overhead once per round, not once per batch of each
+        point, and the rows held at once are bounded by the points ×
+        ``batch_size``, whatever ``n_codewords``.
+        """
+        check_positive("n_codewords", n_codewords)
+        n_codewords = int(n_codewords)
+        if not len(ebn0_dbs) == len(rngs) == len(frontends):
+            raise ValueError("ebn0_dbs, rngs and frontends must have one "
+                             "entry per point")
+        for frontend in frontends:
+            self._check_rate(frontend)
+        generators = [ensure_rng(rng) for rng in rngs]
+        if len({id(generator) for generator in generators}) \
+                < len(generators):
+            raise ValueError("each point needs its own generator")
+        tallies = [BerTally() for _ in ebn0_dbs]
+        for start in range(0, n_codewords, self.batch_size):
+            size = min(self.batch_size, n_codewords - start)
+            decisions = self._decode_rows(np.concatenate([
+                self._transmit(frontend, size, ebn0_db, generator)
+                for ebn0_db, generator, frontend
+                in zip(ebn0_dbs, generators, frontends)]))
+            for index, tally in enumerate(tallies):
+                self._tally_rows(decisions[index * size:(index + 1) * size],
+                                 tally, None)
+        return [tally.to_point(ebn0_db)
+                for ebn0_db, tally in zip(ebn0_dbs, tallies)]
 
     def simulate_adaptive(self, ebn0_db: float, rule: StoppingRule,
                           seed_sequence, tally: Optional[BerTally] = None

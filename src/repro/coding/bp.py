@@ -32,16 +32,21 @@ test suite pins this against that decoder, kept as an oracle.
 Batching and dtype
 ------------------
 :meth:`BeliefPropagationDecoder.decode_batch` splits a batch into
-cache-sized tiles.  A codeword whose syndrome clears is frozen (its
-outputs are snapshotted) while its tile runs on, so codewords never
-interact and ``decode_batch(X)[i] == decode(X[i])``.  ``dtype="float32"``
-runs the same kernel in single precision: its transcendentals vectorise
-several times faster through SIMD and the results are statistically
-equivalent, not bit-identical (float32 saturates check messages near
-``2*arctanh(1 - 2^-24) ≈ 17.3`` instead of ``LLR_CLIP``).  Scatter
-matrices and work buffers are cached on the decoder instance; no state
-leaks between calls, so two sequential decodes are byte-identical to a
-fresh instance.
+cache-sized tiles.  Within a tile, a codeword whose syndrome clears (or
+that reaches the iteration limit) has its outputs recorded and is
+dropped: the unfinished columns are copied into narrower work arrays,
+so later iterations compute only codewords still decoding.  No
+column's arithmetic depends on the width it runs at — the CSR matmuls
+sum each column in the same order, and the elementwise steps are per
+element — so codewords never interact and ``decode_batch(X)[i] ==
+decode(X[i])``.  ``dtype="float32"`` runs the same kernel in single
+precision: its transcendentals vectorise several times faster through
+SIMD and the results are statistically equivalent, not bit-identical
+(float32 saturates check messages near ``2*arctanh(1 - 2^-24) ≈ 17.3``
+instead of ``LLR_CLIP``).  The scatter matrices are cached on the
+decoder instance; the work arrays are allocated per call and freed with
+it, so a decoder holds no per-batch arrays between calls and two
+sequential decodes are byte-identical to a fresh instance.
 """
 
 from __future__ import annotations
@@ -172,8 +177,6 @@ class BeliefPropagationDecoder:
         # MB of cache.
         self._tile_size = max(32, (6 << 20)
                               // (6 * self.n_edges * self.dtype.itemsize))
-        self._buffers = None
-        self._buffer_width = 0
 
     # ------------------------------------------------------------------
     def syndrome_ok(self, hard_decisions: np.ndarray) -> bool:
@@ -220,20 +223,12 @@ class BeliefPropagationDecoder:
             converged=np.concatenate([p.converged for p in parts]),
             iterations=np.concatenate([p.iterations for p in parts]))
 
-    def _work_arrays(self, width: int):
-        """Four ``(n_edges, width)`` and two ``(n_vars, width)`` contiguous
-        work arrays, viewed from flat buffers sized for the widest tile
-        seen so repeated calls do not re-allocate."""
-        rows = (self.n_edges,) * 4 + (self.n_variables,) * 2
-        if width > self._buffer_width:
-            self._buffers = [np.empty(n * width, dtype=self.dtype)
-                             for n in rows]
-            self._buffer_width = width
-        return [buffer[:n * width].reshape(n, width)
-                for buffer, n in zip(self._buffers, rows)]
-
     def _decode_tile(self, channel_llrs: np.ndarray) -> BatchDecodeResult:
-        """The kernel: decode one tile of (clipped) channel LLR rows."""
+        """The kernel: decode one tile of (clipped) channel LLR rows.
+
+        The work arrays hold one column per unfinished codeword;
+        ``active`` maps each column back to its row of the tile.
+        """
         dt = self.dtype
         rows = channel_llrs.shape[0]
         zero, one, two = dt.type(0.0), dt.type(1.0), dt.type(2.0)
@@ -241,19 +236,23 @@ class BeliefPropagationDecoder:
         floor = dt.type(max(_TANH_FLOOR, float(np.finfo(dt).tiny)))
         max_magnitude = dt.type(min(1.0 - 1e-15,
                                     float(np.nextafter(one, zero))))
-        msg, v, work, negative, llrs, post = self._work_arrays(rows)
-        llrs[...] = channel_llrs.T
-        msg[...] = 0
-        post[...] = llrs
-
+        n_edges = self.n_edges
+        # msg, llrs and post carry state from one iteration to the next;
+        # v, work and negative are rewritten every iteration, so they are
+        # views of flat buffers that shrink with the active columns.
+        llrs = np.ascontiguousarray(channel_llrs.T, dtype=dt)
+        msg = np.zeros((n_edges, rows), dtype=dt)
+        post = llrs.copy()
+        buffers = [np.empty(n_edges * rows, dtype=dt) for _ in range(3)]
+        v, work, negative = (buffer.reshape(n_edges, rows)
+                             for buffer in buffers)
+        active = np.arange(rows)
         edge_variable = self._edge_variable
         edge_segment = self._edge_segment
         posterior_out = np.empty((rows, self.n_variables), dtype=dt)
         iterations_out = np.zeros(rows, dtype=int)
         converged_out = np.zeros(rows, dtype=bool)
-        done = np.zeros(rows, dtype=bool)
         for iteration in range(1, self.max_iterations + 1):
-            iterations_out[~done] = iteration
             # ---- variable-node update ---------------------------------
             np.take(post, edge_variable, axis=0, out=v, mode="clip")
             np.subtract(v, msg, out=v)
@@ -295,15 +294,23 @@ class BeliefPropagationDecoder:
             hard = (post < zero).view(np.int8)
             syndromes = self.parity_check.dot(hard) % 2
             satisfied = ~np.any(syndromes, axis=0)
-            finished = (satisfied | (iteration == self.max_iterations)) \
-                & ~done
+            finished = satisfied | (iteration == self.max_iterations)
             if np.any(finished):
-                cols = np.flatnonzero(finished)
-                posterior_out[cols] = post[:, cols].T
-                converged_out[cols] = satisfied[cols]
-                done[cols] = True
-                if done.all():
+                cols = active[finished]
+                posterior_out[cols] = post[:, finished].T
+                converged_out[cols] = satisfied[finished]
+                iterations_out[cols] = iteration
+                if finished.all():
                     break
+                # Go on with the unfinished columns only.
+                keep = ~finished
+                active = active[keep]
+                msg, llrs, post = (np.compress(keep, array, axis=1)
+                                   for array in (msg, llrs, post))
+                v, work, negative = (
+                    buffer[:n_edges * active.size].reshape(n_edges,
+                                                           active.size)
+                    for buffer in buffers)
         return BatchDecodeResult(
             hard_decisions=(posterior_out < 0.0).astype(np.int8),
             posterior_llrs=posterior_out.astype(float, copy=False),

@@ -710,6 +710,53 @@ class _CodedBerFrontendWorker:
                 coding.family, coding.window_size)
         return value
 
+    def call_batch(self, params_list, rngs) -> list:
+        """Every point's value, the points of one coding spec decoded
+        together, one window-decoder call per round of batches
+        (:meth:`BerSimulator.simulate_sweep`)."""
+        codings, frontends = [], []
+        for params in params_list:
+            phy = self.phy
+            if "detector" in params:
+                phy = phy.replace(detector=params["detector"])
+            if "oversampling" in params:
+                phy = phy.replace(oversampling=params["oversampling"])
+            coding = self.coding
+            if "window_size" in params:
+                coding = coding.replace(window_size=params["window_size"])
+            codings.append(coding)
+            frontends.append(phy.make_frontend(
+                rate=coding.design_rate,
+                kind=params.get("frontend", phy.frontend)))
+        by_coding = {}
+        for index, coding in enumerate(codings):
+            by_coding.setdefault(coding, []).append(index)
+        points = [None] * len(params_list)
+        for coding, indices in by_coding.items():
+            simulator = coding.make_ber_simulator(batch_size=8)
+            swept = simulator.simulate_sweep(
+                [params_list[index]["ebn0_db"] for index in indices],
+                [rngs[index] for index in indices],
+                [frontends[index] for index in indices],
+                n_codewords=self.n_codewords)
+            for index, point in zip(indices, swept):
+                points[index] = point
+        values = []
+        for params, coding, frontend, point in zip(params_list, codings,
+                                                   frontends, points):
+            value = {
+                "bit_error_rate": point.bit_error_rate,
+                "block_error_rate": point.block_error_rate,
+                "n_bits": point.n_bits,
+                "bits_per_channel_use": frontend.bits_per_channel_use,
+                "samples_per_bit": frontend.samples_per_bit,
+            }
+            if "window_size" in params:
+                value["de_threshold_ebn0_db"] = _de_threshold_db(
+                    coding.family, coding.window_size)
+            values.append(value)
+        return values
+
 
 @register_scenario("coded-ber-waveform-sweep", "off-paper",
                    "Coded BER vs Eb/N0: BPSK/AWGN baseline vs the 1-bit "

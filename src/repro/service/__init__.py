@@ -28,7 +28,8 @@ Layers:
 """
 
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.daemon import CampaignService, ServiceUnavailable
+from repro.service.daemon import (MAX_FINISHED_JOBS, CampaignService,
+                                  JobEvicted, ServiceUnavailable)
 from repro.service.http import DEFAULT_PORT, ServiceHTTPServer, serve
 from repro.service.jobs import Job, parse_request
 
@@ -36,6 +37,8 @@ __all__ = [
     "CampaignService",
     "DEFAULT_PORT",
     "Job",
+    "JobEvicted",
+    "MAX_FINISHED_JOBS",
     "ServiceClient",
     "ServiceError",
     "ServiceHTTPServer",

@@ -37,6 +37,11 @@ compute are dispatched as the engine's groups
   that are already running — their results and partial tallies are
   persisted like any other completion — and cancels what was still
   queued; queued-but-cancelled jobs keep their completed points.
+* **Retention**: the service keeps the :data:`MAX_FINISHED_JOBS` most
+  recently finished jobs (done, failed or cancelled); an older one is
+  evicted, and asking for it raises :class:`JobEvicted` (HTTP 410).
+  Queued and running jobs are never evicted, and :meth:`stats` still
+  counts evicted jobs by status.
 
 Adaptive-precision scenarios ride the same path: their store keys
 exclude the precision target (see :meth:`Scenario.cache_key`), so a
@@ -65,8 +70,22 @@ from repro.scenarios.scenario import Scenario
 from repro.service.jobs import PRIORITY_RANKS, Job, PointSlot, parse_request
 
 
+#: Finished (done, failed or cancelled) jobs kept for status and result
+#: requests; beyond it the job that finished first is evicted.  Each job
+#: holds its points and their values, about 11 KB for a registry
+#: scenario, so an unbounded table grows with every submission.
+MAX_FINISHED_JOBS = 256
+
+
 class ServiceUnavailable(RuntimeError):
     """The service is draining and no longer accepts submissions."""
+
+
+class JobEvicted(KeyError):
+    """A job id the service assigned, whose finished job it has evicted."""
+
+    def __str__(self) -> str:
+        return str(self.args[0])
 
 
 class CampaignService:
@@ -108,7 +127,12 @@ class CampaignService:
             = queue.PriorityQueue()
         self._seq = itertools.count()
         self._jobs: Dict[str, Job] = {}
-        self._job_ids = itertools.count(1)
+        self._last_job = 0       # ids job-000001 up to this one assigned
+        # Ids of the finished jobs still held, in the order they
+        # finished (a dict as an ordered set), and per-status counts of
+        # the evicted ones.
+        self._finished: Dict[str, None] = {}
+        self._evicted = {"done": 0, "failed": 0, "cancelled": 0}
         # Coalesce key -> the queued-or-running computation's slots:
         # the primary first, then the followers waiting on it.
         self._in_flight: Dict[str, List[Tuple[Job, PointSlot]]] = {}
@@ -163,7 +187,8 @@ class CampaignService:
             if not self._accepting:
                 raise ServiceUnavailable(
                     "service is shutting down; submission rejected")
-            job = Job(job_id=f"job-{next(self._job_ids):06d}",
+            self._last_job += 1
+            job = Job(job_id=f"job-{self._last_job:06d}",
                       scenario=scenario,
                       label=label or scenario.name, priority=priority,
                       seed=seed if isinstance(seed, int) else None,
@@ -174,6 +199,7 @@ class CampaignService:
             for group in point_groups(primaries):
                 self._enqueue(job, group)
             job.mark_finished_if_complete()
+            self._retire(job)
             return job.descriptor(include_points=False)
 
     def _admit_point(self, job: Job, slot: PointSlot) -> bool:
@@ -268,7 +294,9 @@ class CampaignService:
                     follower.status = "done"
                     self._counters["coalesced"] += 1
                     follower_job.mark_finished_if_complete()
+                    self._retire(follower_job)
             job.mark_finished_if_complete()
+            self._retire(job)
             self._completion.notify_all()
 
     def _record_failure(self, job: Job, group: List[PointSlot],
@@ -285,18 +313,58 @@ class CampaignService:
             for follower_job, follower in self._followers(slot):
                 follower.status = "failed"
                 follower_job.error = str(follower.error(exc))
+                self._retire(follower_job)
             for other in group[1:]:
                 self._skip_dead_task(other)
+            self._retire(job)
             self._completion.notify_all()
+
+    def _retire(self, job: Job) -> None:
+        """Enter a job that has finished into the finished-job table,
+        evicting the jobs that finished first beyond
+        :data:`MAX_FINISHED_JOBS` (caller holds the lock).
+
+        A job is retired only once.  A failed or cancelled job is retired
+        as soon as it fails or is cancelled, but its groups still running
+        elsewhere, and the in-flight twins it was following, settle later
+        and retire it again — possibly after it was evicted, which must
+        not bring it back.
+        """
+        if job.status in ("queued", "running") or job.id in self._finished \
+                or job.id not in self._jobs:
+            return
+        self._finished[job.id] = None
+        while len(self._finished) > MAX_FINISHED_JOBS:
+            oldest = next(iter(self._finished))
+            del self._finished[oldest]
+            self._evicted[self._jobs.pop(oldest).status] += 1
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
+    def _job(self, job_id: str) -> Job:
+        """The job under ``job_id`` (caller holds the lock):
+        :class:`JobEvicted` for an assigned id whose job was evicted,
+        ``KeyError`` for an id never assigned."""
+        job = self._jobs.get(job_id)
+        if job is not None:
+            return job
+        number = job_id[len("job-"):]
+        if number.isdecimal() and job_id == f"job-{int(number):06d}" \
+                and 1 <= int(number) <= self._last_job:
+            raise JobEvicted(
+                f"job {job_id} has finished and was evicted (the service "
+                f"keeps the {MAX_FINISHED_JOBS} most recently finished "
+                f"jobs); resubmit it: its points are served from the "
+                f"store")
+        raise KeyError(job_id)
+
     def job(self, job_id: str,
             include_points: bool = True) -> Dict[str, Any]:
-        """Job descriptor (``GET /v1/jobs/<id>``); ``KeyError`` if unknown."""
+        """Job descriptor (``GET /v1/jobs/<id>``); ``KeyError`` if
+        unknown, :class:`JobEvicted` (a ``KeyError``) if evicted."""
         with self._lock:
-            return self._jobs[job_id].descriptor(
+            return self._job(job_id).descriptor(
                 include_points=include_points)
 
     def result_json(self, job_id: str) -> str:
@@ -308,7 +376,7 @@ class CampaignService:
         when the job is not ``done``.
         """
         with self._lock:
-            job = self._jobs[job_id]
+            job = self._job(job_id)
             return job.result(store_info=self.store.describe()).to_json()
 
     def fetch(self, key: str) -> Any:
@@ -320,7 +388,7 @@ class CampaignService:
         descriptor.  Raises ``TimeoutError`` if it does not settle."""
         deadline = time.monotonic() + timeout
         with self._lock:
-            job = self._jobs[job_id]
+            job = self._job(job_id)
             while job.status in ("queued", "running"):
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
@@ -344,6 +412,8 @@ class CampaignService:
 
         ``queue_depth`` counts queued dispatch groups, so a job's batched
         points are one entry, and ``dispatch.tasks`` one task per group.
+        ``jobs`` counts every job ever admitted by status, evicted
+        finished jobs included.
         ``store`` embeds the manifest-backed :meth:`RunStore.info`, so
         reporting key counts and byte sizes does not walk the store.
         ``dispatch`` reports the worker pool's warm-dispatch counters —
@@ -358,8 +428,7 @@ class CampaignService:
             dispatch = {"mode": "inline"}
         with self._lock:
             by_status: Dict[str, int] = {"queued": 0, "running": 0,
-                                         "done": 0, "failed": 0,
-                                         "cancelled": 0}
+                                         **self._evicted}
             for job in self._jobs.values():
                 by_status[job.status] += 1
             served = (self._counters["store_hits"]
@@ -410,10 +479,11 @@ class CampaignService:
             self._pool = None
         cancelled = 0
         with self._lock:
-            for job in self._jobs.values():
+            for job in list(self._jobs.values()):
                 if job.status in ("queued", "running"):
                     job.cancelled = True
                     cancelled += 1
+                    self._retire(job)
             self._in_flight.clear()
             self._completion.notify_all()
         return {"status": "stopped", "cancelled_jobs": cancelled}

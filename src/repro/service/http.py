@@ -7,7 +7,9 @@ POST     ``/v1/scenarios``             submit a scenario spec; 202 + job
 POST     ``/v1/shutdown``              graceful drain-and-stop
 GET      ``/v1/jobs/<id>``             job status, completed points so far
 GET      ``/v1/jobs/<id>/result``      deterministic ScenarioResult JSON
-                                       (byte-identical to a local run)
+                                       (byte-identical to a local run);
+                                       410 once the finished job is
+                                       evicted, 404 for an unknown id
 GET      ``/v1/results/<key>``         any cached point, straight from the
                                        store
 GET      ``/v1/health``                liveness (status, version, uptime)
@@ -34,7 +36,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
 from repro.core.store import DiskStore, RunStore
-from repro.service.daemon import CampaignService, ServiceUnavailable
+from repro.service.daemon import (CampaignService, JobEvicted,
+                                  ServiceUnavailable)
 from repro.utils.serialization import jsonify
 
 #: Default TCP port of ``python -m repro serve``.
@@ -167,6 +170,8 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
                     self._send_json(200, self.service.job(job_id))
                 else:
                     self._send_error_json(404, f"unknown path {self.path!r}")
+            except JobEvicted as error:
+                self._send_error_json(410, str(error))
             except KeyError:
                 self._send_error_json(404, f"unknown job {job_id!r}")
             except RuntimeError as error:

@@ -7,12 +7,14 @@ tests assert exact array equality, not approximate closeness.
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.coding.ber import BerSimulator
 from repro.coding.bp import BatchDecodeResult, BeliefPropagationDecoder
 from repro.coding.codes import LdpcConvolutionalCode
 from repro.coding.protograph import paper_edge_spreading
 from repro.coding.window_decoder import WindowDecoder
+from repro.phy.frontend import BpskAwgnFrontend
 
 from oracles.ber import simulate_reference
 
@@ -76,6 +78,57 @@ class TestBatchedBp:
         batch = decoder.decode_batch(np.stack([clean, noisy]))
         assert batch.iterations[0] == 1
         assert batch.iterations[1] > batch.iterations[0]
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_rows_equal_scalar_decodes_as_columns_finish(self, small_cc,
+                                                          wide):
+        """Columns that converge at once, later or never share a batch
+        (wider than one tile when ``wide``): every row still equals its
+        own decode while finished columns drop out of the work arrays."""
+        window_decoder = WindowDecoder(small_cc, window_size=4,
+                                       max_iterations=20)
+        decoder, columns, _ = window_decoder._window_decoder(2)
+        rng = np.random.default_rng(31)
+        rows = decoder._tile_size + 5 if wide else 12
+        sigmas = np.resize([0.0, 0.55, 2.0, 0.65], rows)
+        llrs = np.stack([np.full(columns.size, 8.0) if sigma == 0.0
+                         else _noisy_llrs(rng, sigma, columns.size)
+                         for sigma in sigmas])
+        batch = decoder.decode_batch(llrs)
+        assert batch.iterations.min() == 1
+        assert np.any((batch.iterations > 1)
+                      & (batch.iterations < decoder.max_iterations))
+        assert np.any(~batch.converged)
+        for row in range(rows):
+            scalar = decoder.decode(llrs[row])
+            assert np.array_equal(scalar.posterior_llrs,
+                                  batch.posterior_llrs[row])
+            assert np.array_equal(scalar.hard_decisions,
+                                  batch.hard_decisions[row])
+            assert scalar.iterations == batch.iterations[row]
+            assert scalar.converged == bool(batch.converged[row])
+
+    def test_decoder_keeps_no_per_batch_arrays(self, small_cc):
+        def held_bytes(decoder):
+            def size(value):
+                if isinstance(value, np.ndarray):
+                    return value.nbytes
+                if isinstance(value, (list, tuple)):
+                    return sum(size(item) for item in value)
+                if sparse.issparse(value):
+                    return (value.data.nbytes + value.indices.nbytes
+                            + value.indptr.nbytes)
+                return 0
+            return {name: size(value)
+                    for name, value in vars(decoder).items()}
+
+        decoder = BeliefPropagationDecoder(small_cc.parity_check,
+                                           max_iterations=5)
+        fresh = held_bytes(decoder)
+        rng = np.random.default_rng(3)
+        for rows in (40, 1):
+            decoder.decode_batch(_noisy_llrs(rng, 1.0, (rows, small_cc.n)))
+            assert held_bytes(decoder) == fresh
 
     def test_scalar_view(self, small_cc):
         decoder = BeliefPropagationDecoder(small_cc.parity_check)
@@ -153,6 +206,48 @@ class TestBatchedBerSimulator:
                                        max_bit_errors=40)
         assert batched == reference
         assert batched.n_codewords < 12
+
+    def test_sweep_equals_simulate_per_point(self, small_cc):
+        decoder = WindowDecoder(small_cc, window_size=5, max_iterations=30)
+        simulator = BerSimulator(small_cc.n, small_cc.design_rate,
+                                 decoder.decode_bits,
+                                 decode_batch=decoder.decode_bits_batch,
+                                 batch_size=3)
+        ebn0s, seeds = [1.0, 2.5, 1.5], [4, 5, 6]
+        frontends = [BpskAwgnFrontend(rate=small_cc.design_rate)
+                     for _ in ebn0s]
+        # 7 codewords per point: two full batches of 3 and one of 1.
+        swept = simulator.simulate_sweep(ebn0s, seeds, frontends,
+                                         n_codewords=7)
+        assert swept == [simulator.simulate(ebn0, n_codewords=7, rng=seed)
+                         for ebn0, seed in zip(ebn0s, seeds)]
+        with pytest.raises(ValueError, match="does not match"):
+            simulator.simulate_sweep([1.0], [0], [BpskAwgnFrontend(rate=1.0)])
+        with pytest.raises(ValueError, match="one entry per point"):
+            simulator.simulate_sweep(ebn0s, seeds[:2], frontends)
+        shared = np.random.default_rng(4)
+        with pytest.raises(ValueError, match="its own generator"):
+            simulator.simulate_sweep(ebn0s[:2], [shared, shared],
+                                     frontends[:2])
+
+    def test_sweep_decodes_one_round_of_batches_at_a_time(self, small_cc):
+        # The rows held at once are bounded by points × batch_size,
+        # whatever n_codewords: batch r of every point is one call.
+        decoder = WindowDecoder(small_cc, window_size=5, max_iterations=30)
+        widths = []
+
+        def decode_batch(llrs):
+            widths.append(llrs.shape[0])
+            return decoder.decode_bits_batch(llrs)
+
+        simulator = BerSimulator(small_cc.n, small_cc.design_rate,
+                                 decoder.decode_bits,
+                                 decode_batch=decode_batch, batch_size=3)
+        frontends = [BpskAwgnFrontend(rate=small_cc.design_rate)
+                     for _ in range(3)]
+        simulator.simulate_sweep([1.0, 2.5, 1.5], [4, 5, 6], frontends,
+                                 n_codewords=7)
+        assert widths == [9, 9, 3]
 
     def test_row_fallback_equals_reference(self):
         # Without a batch decoder, simulate() still batches the noise

@@ -8,6 +8,7 @@ interactive-over-bulk priority, drain-on-shutdown.
 """
 
 import contextlib
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -20,7 +21,8 @@ import repro
 from repro.coding.ber import batch_seed_sequence
 from repro.core.store import DiskStore, MemoryStore
 from repro.scenarios import PrecisionSpec, Scenario
-from repro.service import CampaignService, ServiceUnavailable, parse_request
+from repro.service import (MAX_FINISHED_JOBS, CampaignService, JobEvicted,
+                           ServiceUnavailable, parse_request)
 
 #: Gates the inline workers block on, keyed by the ``gate`` param value.
 _EVENTS: Dict[str, threading.Event] = {}
@@ -457,6 +459,121 @@ class TestIntrospection:
             assert partial["pending_params"] == [{"x": 2, "gate": "later"}]
             _gate("later").set()
             assert service.wait(job_id, timeout=30)["completed"] == 2
+
+
+class TestRetention:
+    """The finished-job table keeps the most recently finished jobs."""
+
+    def test_the_oldest_finished_jobs_are_evicted(self):
+        with _service(n_workers=1) as service:
+            ids = []
+            # After the first job computes, every resubmission is born
+            # done from the store.
+            for _ in range(MAX_FINISHED_JOBS + 3):
+                job = service.submit_scenario(_scenario([{"x": 1}]))
+                service.wait(job["job_id"], timeout=30)
+                ids.append(job["job_id"])
+            for evicted in ids[:3]:
+                for ask in (service.job, service.result_json,
+                            service.wait):
+                    with pytest.raises(JobEvicted, match="resubmit"):
+                        ask(evicted)
+            assert service.job(ids[3])["status"] == "done"
+            assert service.result_json(ids[-1])
+            # An id never assigned is unknown, not evicted.
+            for unknown in ("job-999999", "job-1", "job-000000", "x"):
+                with pytest.raises(KeyError) as excinfo:
+                    service.job(unknown)
+                assert not isinstance(excinfo.value, JobEvicted)
+            stats = service.stats()
+            assert stats["jobs"]["done"] == MAX_FINISHED_JOBS + 3
+            assert len(service._jobs) == MAX_FINISHED_JOBS
+
+    def test_queued_and_running_jobs_are_never_evicted(self, monkeypatch):
+        monkeypatch.setattr("repro.service.daemon.MAX_FINISHED_JOBS", 2)
+        with _service(n_workers=2) as service:
+            # One dispatcher holds the first job's gated point while the
+            # other finishes four jobs behind it.
+            held = service.submit_scenario(
+                _scenario([{"x": 1, "gate": "hold"}, {"x": 2}]))
+            finished = [service.submit_scenario(
+                _scenario([{"x": 3}], name="svc-failing",
+                          worker=_gated_boom)) for _ in range(3)]
+            done = service.submit_scenario(_scenario([{"x": 4}]))
+            service.wait(done["job_id"], timeout=30)
+            _spin_until(lambda: service.stats()["jobs"]["failed"] == 3)
+            assert service.job(held["job_id"])["status"] == "running"
+            _gate("hold").set()
+            assert service.wait(held["job_id"], timeout=30)["status"] \
+                == "done"
+            # The two most recently finished jobs remain: the held job
+            # and the last to finish before it.
+            with pytest.raises(JobEvicted):
+                service.job(finished[0]["job_id"])
+            stats = service.stats()["jobs"]
+            assert stats == {"queued": 0, "running": 0, "done": 2,
+                             "failed": 3, "cancelled": 0}
+            assert len(service._jobs) == 2
+
+    def test_an_evicted_failed_job_stays_evicted(self, monkeypatch):
+        monkeypatch.setattr("repro.service.daemon.MAX_FINISHED_JOBS", 1)
+        with _service(n_workers=2) as service:
+            # One dispatcher holds the job's gated point while the other
+            # fails its boom point: the job fails, is retired and is
+            # evicted by two later jobs before the held point records.
+            failed = service.submit_scenario(_scenario(
+                [{"x": 1, "gate": "hold"}, {"x": 2, "boom": True}],
+                worker=_gated_boom_if_asked), seed=0)
+            _spin_until(lambda: service.job(failed["job_id"])["status"]
+                        == "failed")
+            for x in (3, 4):
+                job = service.submit_scenario(_scenario([{"x": x}]))
+                service.wait(job["job_id"], timeout=30)
+            with pytest.raises(JobEvicted):
+                service.job(failed["job_id"])
+            _gate("hold").set()
+            _spin_until(lambda: service.stats()["points"]["computed"] == 3)
+            # Retiring the late group's job again must not re-enter it
+            # in the table: the next retirement would find its id there
+            # and no job to evict.
+            again = service.submit_scenario(_scenario([{"x": 3}]))
+            assert again["status"] == "done" and again["hits"] == 1
+            with pytest.raises(JobEvicted):
+                service.job(failed["job_id"])
+            stats = service.stats()["jobs"]
+            assert stats == {"queued": 0, "running": 0, "done": 3,
+                             "failed": 1, "cancelled": 0}
+            assert list(service._jobs) == [again["job_id"]]
+
+    def test_the_table_stays_consistent_under_contention(self,
+                                                         monkeypatch):
+        # More dispatchers than cores, a short switch interval and a
+        # two-job table: failing groups, coalescing twins and store hits
+        # retire and evict jobs from every thread at once.
+        monkeypatch.setattr("repro.service.daemon.MAX_FINISHED_JOBS", 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with _service(n_workers=4) as service:
+                for index in range(60):
+                    service.submit_scenario(_scenario(
+                        [{"x": index % 3},
+                         {"x": 10, "boom": index % 4 == 0}],
+                        worker=_gated_boom_if_asked), seed=0)
+
+                def settled():
+                    jobs = service.stats()["jobs"]
+                    return jobs["queued"] + jobs["running"] == 0
+
+                _spin_until(settled, timeout=30)
+                stats = service.stats()["jobs"]
+                assert sum(stats.values()) == 60
+                assert stats["failed"] == 15
+                # Every held job is finished and in the table, once.
+                assert sorted(service._finished) == sorted(service._jobs)
+                assert len(service._jobs) == 2
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestProcessDispatch:

@@ -112,6 +112,22 @@ class TestErrors:
             client.status("job-999999")
         assert excinfo.value.status == 404
 
+    def test_an_evicted_job_is_410_and_an_unknown_one_404(self, client,
+                                                          monkeypatch):
+        monkeypatch.setattr("repro.service.daemon.MAX_FINISHED_JOBS", 1)
+        first = client.submit(SCENARIO, seed=0)
+        client.wait(first["job_id"], timeout=120)
+        second = client.submit(SCENARIO, seed=0)
+        client.wait(second["job_id"], timeout=120)
+        for ask in (client.status, client.result_bytes):
+            with pytest.raises(ServiceError, match="resubmit") as excinfo:
+                ask(first["job_id"])
+            assert excinfo.value.status == 410
+        assert client.result_bytes(second["job_id"])
+        with pytest.raises(ServiceError) as excinfo:
+            client.status("job-000003")
+        assert excinfo.value.status == 404
+
     def test_unknown_store_key_is_404(self, client):
         with pytest.raises(ServiceError) as excinfo:
             client.fetch("0" * 64)

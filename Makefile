@@ -30,11 +30,14 @@ bench:
 	$(PYTHON) -m pytest -q benchmarks
 
 # One kernel per layer: float64 bit-exactness against the historical
-# digests and the retired BP kernel, the dtype knob, and the kernel
-# throughput floors vs the frozen pre-seam implementations.
+# digests, the retired BP kernel and the retired numpy information-rate
+# recursion (its bytes rest on numpy's exp and log, whose SIMD code path
+# depends on the CPU), the dtype knob, and the kernel throughput floors
+# vs the frozen pre-seam implementations.
 kernel-smoke:
 	$(PYTHON) -m pytest -q tests/test_backend_module.py \
 		tests/test_backend_kernels.py tests/test_coding_bp_oracle.py \
+		tests/test_phy_information_rate_oracle.py \
 		benchmarks/test_bench_backend_kernels.py
 	$(PYTHON) -m repro bench --json BENCH_kernels.json \
 		--batch-sizes 64 --repeats 1

@@ -18,11 +18,41 @@ Four quantities are needed to reproduce Fig. 6 of the paper:
   computed with Gauss-Hermite quadrature.
 
 All rates are in bits per channel use (bpcu), i.e. per transmitted symbol.
+
+The forward recursion behind :func:`sequence_information_rate` steps
+through every symbol in turn, and each step is only ``n_states × order``
+multiply-adds (16 for the paper's 4-state channels).  As one numpy call
+per operation it spent ~5 µs of dispatch per symbol on that work, so it
+runs on Python floats instead: numpy computes ``exp`` of a block of
+:data:`_BLOCK` symbols at once, and a plain loop does the rest.  It
+returns the bytes of the retired numpy loop (``tests/oracles``) because
+it repeats its order of operations:
+
+* ``exp`` and ``log`` are elementwise, so numpy's block calls give the
+  bits of its per-symbol calls (``math.exp``/``math.log`` would not);
+* a branch weight is ``(alpha[s] * prior) * exp(log_obs[k, s, i])``,
+  added into its successor state from ``0.0`` in ascending flat
+  ``(s, i)`` order, as ``np.bincount`` adds them;
+* the normaliser sums the states in ``ndarray.sum``'s order
+  (:func:`_ndarray_sum`): one after another below 8 states, numpy's
+  pairwise blocks from 8 up.  A normaliser ``<= 0`` raises
+  ``FloatingPointError``; a NaN passes through;
+* ``alpha = new_alpha / normaliser`` elementwise;
+* the logs of the normalisers are added into one running float, from
+  ``0.0``, strictly in order (not ``np.sum``, which is pairwise,
+  ``math.fsum``, which is exact, or the builtin ``sum``, which
+  compensates from Python 3.12).
+
+Converting one block of likelihoods at a time keeps the Python floats
+held at once to about 100 KB.  On a 2-core x86 container the loop ran
+2.6x faster than the numpy loop at 4 states and 5.7x at 1 state, but
+0.96x at 8 states and 0.80x at 16 (EXPERIMENTS.md, "The information rate
+on Python floats"); no registry scenario runs more than 4.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -33,6 +63,9 @@ from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.units import db_to_linear
 
 _LOG2 = np.log(2.0)
+#: Symbols whose likelihoods are converted to Python floats at a time
+#: (about 100 KB of floats for a 16-branch trellis section).
+_BLOCK = 256
 
 
 def _normal_pdf(y: np.ndarray, loc: float, scale: float) -> np.ndarray:
@@ -42,34 +75,75 @@ def _normal_pdf(y: np.ndarray, loc: float, scale: float) -> np.ndarray:
     return np.exp(-x**2 / 2.0) / np.sqrt(2 * np.pi) / scale
 
 
+def _ndarray_sum(values: List[float]) -> float:
+    """Sum ``values`` in the order of ``np.ndarray.sum`` on float64.
+
+    numpy adds fewer than 8 values one after another.  From 8 up it keeps
+    eight running sums over every eighth value, combines them pairwise
+    and adds the remainder in turn; it halves runs of more than 128
+    values (keeping the first half a multiple of 8) and adds the halves.
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return _ndarray_sum(values[:half]) + _ndarray_sum(values[half:])
+    partial = values[:8]
+    stop = n - n % 8
+    for start in range(8, stop, 8):
+        for lane in range(8):
+            partial[lane] += values[start + lane]
+    total = (((partial[0] + partial[1]) + (partial[2] + partial[3]))
+             + ((partial[4] + partial[5]) + (partial[6] + partial[7])))
+    for value in values[stop:]:
+        total += value
+    return total
+
+
 def _entropy_rate_of_observations(channel: OversampledOneBitChannel,
                                   log_obs: np.ndarray) -> float:
     """-1/n log2 P(z_1^n) via the normalised forward recursion.
 
     ``log_obs`` has shape ``(n, n_states, order)`` and holds
-    ``log P(z_k | state, input)``.
+    ``log P(z_k | state, input)``.  The recursion steps on Python floats
+    in numpy's order of operations (see the module docstring).
     """
     n_symbols = log_obs.shape[0]
     n_states = channel.n_states
     order = channel.order
     prior = 1.0 / order
-    # Successor state for every (state, input) pair.
-    successors = np.array([
-        [channel.next_state(state, inp) for inp in range(order)]
-        for state in range(n_states)
-    ])
-    alpha = np.full(n_states, 1.0 / n_states)
+    # The (state, flat (state, input) index) branches into each successor
+    # state, in ascending flat order: the order np.bincount adds them in.
+    incoming: List[List[Tuple[int, int]]] = [[] for _ in range(n_states)]
+    for state in range(n_states):
+        for inp in range(order):
+            incoming[channel.next_state(state, inp)].append(
+                (state, state * order + inp))
+    # alpha * prior, the factor every branch of a state starts from.
+    weighted = [1.0 / n_states * prior] * n_states
     log_prob = 0.0
-    flat_successors = successors.reshape(-1)
-    for k in range(n_symbols):
-        branch = alpha[:, None] * prior * np.exp(log_obs[k])
-        new_alpha = np.bincount(flat_successors, weights=branch.reshape(-1),
-                                minlength=n_states)
-        normaliser = new_alpha.sum()
-        if normaliser <= 0.0:
-            raise FloatingPointError("forward recursion underflowed")
-        log_prob += np.log(normaliser)
-        alpha = new_alpha / normaliser
+    for start in range(0, n_symbols, _BLOCK):
+        block = np.exp(log_obs[start:start + _BLOCK])
+        normalisers = []
+        for likelihoods in block.reshape(len(block), -1).tolist():
+            new_alpha = []
+            for branches in incoming:
+                total = 0.0
+                for state, index in branches:
+                    total += weighted[state] * likelihoods[index]
+                new_alpha.append(total)
+            normaliser = _ndarray_sum(new_alpha)
+            if normaliser <= 0.0:
+                raise FloatingPointError("forward recursion underflowed")
+            normalisers.append(normaliser)
+            weighted = [value / normaliser * prior for value in new_alpha]
+        for term in np.log(normalisers).tolist():
+            log_prob += term
     return float(-log_prob / (n_symbols * _LOG2))
 
 

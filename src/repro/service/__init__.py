@@ -29,7 +29,8 @@ Layers:
 
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.daemon import (MAX_FINISHED_JOBS, CampaignService,
-                                  JobEvicted, ServiceUnavailable)
+                                  JobEvicted, ServiceUnavailable,
+                                  StoreFailure)
 from repro.service.http import DEFAULT_PORT, ServiceHTTPServer, serve
 from repro.service.jobs import Job, parse_request
 
@@ -43,6 +44,7 @@ __all__ = [
     "ServiceError",
     "ServiceHTTPServer",
     "ServiceUnavailable",
+    "StoreFailure",
     "parse_request",
     "serve",
 ]

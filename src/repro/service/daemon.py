@@ -18,7 +18,9 @@ compute are dispatched as the engine's groups
   submitting the same spec share one computation), and only genuinely
   new points are enqueued — the job's non-adaptive points whose worker
   offers ``call_batch`` as one group, every other point as a group of
-  one.
+  one.  Admission is all or nothing: when the store fails on any point,
+  the job's points leave the in-flight table, no job or job id is kept,
+  and :class:`StoreFailure` (HTTP 500) is raised.
 * **Scheduling** is a priority queue of groups: interactive submissions
   rank ahead of bulk campaign sweeps, so an interactive request
   enqueued behind a long campaign starts as soon as the next worker
@@ -79,6 +81,11 @@ MAX_FINISHED_JOBS = 256
 
 class ServiceUnavailable(RuntimeError):
     """The service is draining and no longer accepts submissions."""
+
+
+class StoreFailure(RuntimeError):
+    """The store failed while a job was admitted, so nothing of the job
+    was admitted: a fault of the service, not of the request."""
 
 
 class JobEvicted(KeyError):
@@ -157,8 +164,9 @@ class CampaignService:
         The payload names a registered scenario plus optional ``set``
         overrides, ``seed``, ``label`` and ``priority``; see
         :func:`repro.service.jobs.parse_request`.  Raises ``ValueError``
-        on malformed payloads (HTTP 400) and :class:`ServiceUnavailable`
-        while draining (HTTP 503).
+        on malformed payloads (HTTP 400), :class:`StoreFailure` when the
+        store fails during admission (HTTP 500) and
+        :class:`ServiceUnavailable` while draining (HTTP 503).
         """
         entry, priority = parse_request(payload)
         scenario = entry.build()
@@ -187,15 +195,25 @@ class CampaignService:
             if not self._accepting:
                 raise ServiceUnavailable(
                     "service is shutting down; submission rejected")
-            self._last_job += 1
-            job = Job(job_id=f"job-{self._last_job:06d}",
+            # The id is taken only once every point is admitted.
+            job = Job(job_id=f"job-{self._last_job + 1:06d}",
                       scenario=scenario,
                       label=label or scenario.name, priority=priority,
                       seed=seed if isinstance(seed, int) else None,
                       slots=slots)
+            try:
+                primaries = [slot for slot in job.slots
+                             if self._admit_point(job, slot)]
+            except Exception as error:
+                self._withdraw(job)
+                raise StoreFailure(
+                    f"the store failed while admitting {scenario.name!r} "
+                    f"({type(error).__name__}: {error}); nothing was "
+                    f"queued") from error
+            self._last_job += 1
             self._jobs[job.id] = job
-            primaries = [slot for slot in job.slots
-                         if self._admit_point(job, slot)]
+            self._counters["store_hits"] += sum(
+                slot.status == "done" for slot in job.slots)
             for group in point_groups(primaries):
                 self._enqueue(job, group)
             job.mark_finished_if_complete()
@@ -207,7 +225,6 @@ class CampaignService:
         True when it must be computed (caller holds the lock)."""
         if slot.resolve(self.store):
             slot.status = "done"
-            self._counters["store_hits"] += 1
             return False
         key = slot.coalesce_key()
         if key is not None:
@@ -215,6 +232,19 @@ class CampaignService:
             twins.append((job, slot))
             return len(twins) == 1
         return True
+
+    def _withdraw(self, job: Job) -> None:
+        """Take the points of a job whose admission failed out of the
+        in-flight table (caller holds the lock).  Nothing of the job was
+        enqueued, so a computation it started has no other follower."""
+        for slot in job.slots:
+            key = slot.coalesce_key()
+            twins = self._in_flight.get(key) if key is not None else None
+            if twins is None:
+                continue
+            twins[:] = [twin for twin in twins if twin[0] is not job]
+            if not twins:
+                del self._in_flight[key]
 
     def _enqueue(self, job: Job, group: List[PointSlot]) -> None:
         self._queue.put((PRIORITY_RANKS[job.priority], next(self._seq),

@@ -4,6 +4,8 @@ Routes (all JSON in, JSON out):
 
 =======  ============================  =====================================
 POST     ``/v1/scenarios``             submit a scenario spec; 202 + job
+                                       (400 malformed, 500 store failure,
+                                       503 draining)
 POST     ``/v1/shutdown``              graceful drain-and-stop
 GET      ``/v1/jobs/<id>``             job status, completed points so far
 GET      ``/v1/jobs/<id>/result``      deterministic ScenarioResult JSON
@@ -37,7 +39,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.core.store import DiskStore, RunStore
 from repro.service.daemon import (CampaignService, JobEvicted,
-                                  ServiceUnavailable)
+                                  ServiceUnavailable, StoreFailure)
 from repro.utils.serialization import jsonify
 
 #: Default TCP port of ``python -m repro serve``.
@@ -216,6 +218,8 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
                 descriptor = self.service.submit(payload)
             except ServiceUnavailable as error:
                 self._send_error_json(503, str(error))
+            except StoreFailure as error:
+                self._send_error_json(500, str(error))
             except (KeyError, ValueError) as error:
                 self._send_error_json(400, str(error))
             else:

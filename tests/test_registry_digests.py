@@ -18,11 +18,15 @@ from repro.scenarios import build_scenario, scenario_names
 DIGESTS = load()
 PINNED = DIGESTS["scenarios"]
 #: Scenarios whose cold run in a fresh interpreter took 0.5 s or less
-#: (2-core container), about 4 s together.
+#: (2-core container), about 4.5 s together.  ``fig5``,
+#: ``oversampling-sweep``, ``tx-power-sweep`` and ``link-distance-sweep``
+#: pin the information-rate recursion, the last two through
+#: ``WirelessBoardLink``.
 QUICK = ("table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig7", "fig8",
          "fig8a", "fig8b", "fig9", "beamforming-sweep", "mesh3d-scaling",
          "measured-freespace-vs-copper", "oversampling-sweep",
-         "phy-detector-comparison", "phy-oversampling-coding-ablation")
+         "phy-detector-comparison", "phy-oversampling-coding-ablation",
+         "tx-power-sweep", "link-distance-sweep")
 
 
 def _made_with():

@@ -8,11 +8,12 @@ interactive-over-bulk priority, drain-on-shutdown.
 """
 
 import contextlib
+import errno
 import sys
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping
+from typing import Any, Dict, List, Mapping, Optional
 
 import numpy as np
 import pytest
@@ -20,9 +21,9 @@ import pytest
 import repro
 from repro.coding.ber import batch_seed_sequence
 from repro.core.store import DiskStore, MemoryStore
-from repro.scenarios import PrecisionSpec, Scenario
+from repro.scenarios import PrecisionSpec, Scenario, build_scenario
 from repro.service import (MAX_FINISHED_JOBS, CampaignService, JobEvicted,
-                           ServiceUnavailable, parse_request)
+                           ServiceUnavailable, StoreFailure, parse_request)
 
 #: Gates the inline workers block on, keyed by the ``gate`` param value.
 _EVENTS: Dict[str, threading.Event] = {}
@@ -225,6 +226,80 @@ class TestAdmission:
             with pytest.raises(TimeoutError):
                 service.wait(job["job_id"], timeout=0.05)
             _gate("stuck").set()
+
+
+class FlakyStore(MemoryStore):
+    """A :class:`MemoryStore` whose ``in`` raises ``OSError`` from its
+    ``fail_from``-th lookup on, until :meth:`heal` is called."""
+
+    def __init__(self, fail_from: Optional[int] = 1) -> None:
+        super().__init__()
+        self.lookups = 0
+        self.fail_from = fail_from
+
+    def heal(self) -> None:
+        self.fail_from = None
+
+    def __contains__(self, key: str) -> bool:
+        self.lookups += 1
+        if self.fail_from is not None and self.lookups >= self.fail_from:
+            raise OSError(errno.EIO, "injected store failure")
+        return super().__contains__(key)
+
+
+class TestAdmissionFailure:
+    """A store error while a job is admitted admits nothing: no job, no
+    job id, no in-flight computation, no hit counted."""
+
+    @pytest.mark.parametrize("fail_from", [1, 2],
+                             ids=["first-point", "second-point"])
+    def test_a_store_error_admits_nothing(self, fail_from):
+        store = FlakyStore(fail_from)
+        with _service(store=store, n_workers=1) as service:
+            with pytest.raises(StoreFailure, match="OSError") as caught:
+                service.submit_scenario(build_scenario("fig8a"), seed=3)
+            assert isinstance(caught.value.__cause__, OSError)
+            stats = service.stats()
+            assert stats["jobs"] == {"queued": 0, "running": 0, "done": 0,
+                                     "failed": 0, "cancelled": 0}
+            assert stats["in_flight_keys"] == 0
+            assert stats["queue_depth"] == 0
+            assert stats["points"]["store_hits"] == 0
+            # The failed admission took no job id.
+            with pytest.raises(KeyError) as unknown:
+                service.job("job-000001")
+            assert not isinstance(unknown.value, JobEvicted)
+            # An identical submission is not stranded behind a twin of
+            # the failed one: it computes and matches Scenario.run.
+            store.heal()
+            job = service.submit_scenario(build_scenario("fig8a"), seed=3)
+            assert job["job_id"] == "job-000001"
+            done = service.wait(job["job_id"], timeout=60)
+            assert done["status"] == "done"
+            assert done["computed"] == done["n_points"]
+            served = service.result_json(job["job_id"])
+        assert served == build_scenario("fig8a").run(rng=3).to_json()
+
+    def test_a_follower_of_a_failed_admission_leaves_its_primary(self):
+        # A job whose first point joins another job's in-flight twin and
+        # whose second point hits the store error: the twin keeps
+        # running, only the failed job's follower is withdrawn.
+        store = FlakyStore(fail_from=None)
+        with _service(store=store, n_workers=1) as service:
+            first = service.submit_scenario(
+                _scenario([{"x": 1, "gate": "hold"}]), seed=3)
+            store.fail_from = store.lookups + 2
+            with pytest.raises(StoreFailure):
+                service.submit_scenario(
+                    _scenario([{"x": 1, "gate": "hold"}, {"x": 2}]),
+                    seed=3)
+            assert service.stats()["in_flight_keys"] == 1
+            store.heal()
+            _gate("hold").set()
+            done = service.wait(first["job_id"], timeout=30)
+            assert done["status"] == "done" and done["computed"] == 1
+            assert service.stats()["in_flight_keys"] == 0
+            assert service.stats()["points"]["coalesced"] == 0
 
 
 class TestCoalescing:

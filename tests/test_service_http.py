@@ -20,6 +20,7 @@ import repro
 from repro.core.store import DiskStore, MemoryStore
 from repro.scenarios import Scenario, run_scenario
 from repro.service import ServiceClient, ServiceError, serve
+from test_service_daemon import FlakyStore
 
 #: Cheap registered scenario used throughout (4 points).
 SCENARIO = "fig7"
@@ -149,6 +150,38 @@ class TestErrors:
                          {"scenario": SCENARIO, "bogus": 1})
         assert excinfo.value.status == 400
         assert "unknown submission key" in str(excinfo.value)
+
+    def test_a_store_failure_at_admission_is_500_and_admits_nothing(self):
+        # The store fails on the job's second point: the client gets a
+        # typed 500 naming the failure (not a dropped connection), no
+        # job or in-flight point is left, malformed payloads stay 400,
+        # and once the store recovers the same submission completes
+        # with the local run's bytes.
+        store = FlakyStore(fail_from=2)
+        instance = serve(store=store, port=0, n_workers=2, processes=False)
+        thread = threading.Thread(target=instance.serve_forever, daemon=True)
+        thread.start()
+        try:
+            client = ServiceClient(instance.url, timeout=30.0)
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit("fig8a", seed=3)
+            assert excinfo.value.status == 500
+            assert "store" in excinfo.value.payload["error"]
+            assert "OSError" in excinfo.value.payload["error"]
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit("not-a-scenario")
+            assert excinfo.value.status == 400
+            stats = client.stats()
+            assert stats["jobs"]["queued"] == stats["jobs"]["running"] == 0
+            assert stats["in_flight_keys"] == 0
+            store.heal()
+            job = client.submit("fig8a", seed=3)
+            client.wait(job["job_id"], timeout=120)
+            assert client.result_bytes(job["job_id"]) \
+                == run_scenario("fig8a", rng=3).to_json().encode("utf-8")
+        finally:
+            instance.stop()
+            instance.server_close()
 
     def test_invalid_json_body_is_400(self, server):
         request = urllib.request.Request(

@@ -55,6 +55,7 @@ from repro.core import (
     LinkReport,
     MemoryStore,
     RunStore,
+    StoreError,
     SweepEngine,
     SweepOutcome,
     SweepPointError,
@@ -154,6 +155,7 @@ __all__ = [
     "RunStore",
     "MemoryStore",
     "DiskStore",
+    "StoreError",
     # scenario API
     "ChannelSpec",
     "PhySpec",

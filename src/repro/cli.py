@@ -69,7 +69,7 @@ import os
 import sys
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.core.store import DiskStore, MemoryStore
+from repro.core.store import DiskStore, MemoryStore, StoreError
 from repro.scenarios import (
     Campaign,
     build_scenario,
@@ -786,7 +786,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (KeyError, ValueError) as error:
+    except (KeyError, ValueError, StoreError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -40,7 +40,7 @@ from repro.core.engine import (
 )
 from repro.core.link import LinkReport, WirelessBoardLink
 from repro.core.pool import PoolTask, WorkerPool
-from repro.core.store import DiskStore, MemoryStore, RunStore
+from repro.core.store import DiskStore, MemoryStore, RunStore, StoreError
 from repro.core.system import SystemReport, WirelessInterconnectSystem
 
 __all__ = [
@@ -57,6 +57,7 @@ __all__ = [
     "RunStore",
     "MemoryStore",
     "DiskStore",
+    "StoreError",
     "link_flit_error_rate",
     "coded_residual_ber",
     "link_operating_ebn0_db",

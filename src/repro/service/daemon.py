@@ -34,7 +34,9 @@ compute are dispatched as the engine's groups
 * **Recording** writes every completed point to the store the moment
   its group finishes (:meth:`Point.record`; for adaptive-precision
   jobs, the upgraded tally), then shares the canonical result with
-  every follower.
+  every follower.  When the store fails there, the job and the point's
+  followers fail with an error naming the store failure, the group's
+  other points are skipped, and the dispatcher goes on.
 * **Shutdown** (:meth:`shutdown`) stops admission, drains the points
   that are already running — their results and partial tallies are
   persisted like any other completion — and cancels what was still
@@ -84,8 +86,17 @@ class ServiceUnavailable(RuntimeError):
 
 
 class StoreFailure(RuntimeError):
-    """The store failed while a job was admitted, so nothing of the job
-    was admitted: a fault of the service, not of the request."""
+    """The store failed: a fault of the service, not of the request.
+
+    Raised when the store fails while a job is admitted (nothing of the
+    job is admitted) or while a cached point or the statistics are read.
+    A store failure while a finished point is recorded fails that job
+    instead, with the same wording.
+    """
+
+
+def _store_failed(doing: str, error: BaseException) -> str:
+    return f"the store failed while {doing} ({type(error).__name__}: {error})"
 
 
 class JobEvicted(KeyError):
@@ -206,10 +217,9 @@ class CampaignService:
                              if self._admit_point(job, slot)]
             except Exception as error:
                 self._withdraw(job)
-                raise StoreFailure(
-                    f"the store failed while admitting {scenario.name!r} "
-                    f"({type(error).__name__}: {error}); nothing was "
-                    f"queued") from error
+                raise StoreFailure(_store_failed(
+                    f"admitting {scenario.name!r}", error)
+                    + "; nothing was queued") from error
             self._last_job += 1
             self._jobs[job.id] = job
             self._counters["store_hits"] += sum(
@@ -315,8 +325,17 @@ class CampaignService:
     def _record_success(self, job: Job, group: List[PointSlot],
                         results: List[Any]) -> None:
         with self._lock:
-            for slot, result in zip(group, results):
-                slot.record(self.store, result)
+            for index, (slot, result) in enumerate(zip(group, results)):
+                try:
+                    slot.record(self.store, result)
+                except Exception as exc:
+                    # The point computed, but it could not be kept: the
+                    # store's fault, not the worker's.  The job fails, and
+                    # the dispatcher lives on.
+                    self._fail_group(job, group[index:], lambda point: (
+                        _store_failed(f"recording {point.scenario!r} point "
+                                      f"{point.planned.params!r}", exc)))
+                    return
                 slot.status = "done"
                 self._counters["computed"] += 1
                 for follower_job, follower in self._followers(slot):
@@ -331,23 +350,28 @@ class CampaignService:
 
     def _record_failure(self, job: Job, group: List[PointSlot],
                         exc: Exception) -> None:
-        """The group failed as its first point; its other points are
-        skipped like any queued point of a failed job."""
-        slot = group[0]
         with self._lock:
-            slot.status = "failed"
-            job.error = str(slot.error(exc))
-            self._counters["failed"] += 1
-            # An identical computation fails identically: fail the
-            # followers too, each attributed to its own job.
-            for follower_job, follower in self._followers(slot):
-                follower.status = "failed"
-                follower_job.error = str(follower.error(exc))
-                self._retire(follower_job)
-            for other in group[1:]:
-                self._skip_dead_task(other)
-            self._retire(job)
-            self._completion.notify_all()
+            self._fail_group(job, group, lambda point: point.error(exc))
+
+    def _fail_group(self, job: Job, group: List[PointSlot],
+                    error: Any) -> None:
+        """Fail ``job`` as ``group``'s first point, with the message of
+        ``error(point)``; its other points are skipped like any queued
+        point of a failed job (caller holds the lock)."""
+        slot = group[0]
+        slot.status = "failed"
+        job.error = str(error(slot))
+        self._counters["failed"] += 1
+        # An identical computation fails identically: fail the followers
+        # too, each attributed to its own job.
+        for follower_job, follower in self._followers(slot):
+            follower.status = "failed"
+            follower_job.error = str(error(follower))
+            self._retire(follower_job)
+        for other in group[1:]:
+            self._skip_dead_task(other)
+        self._retire(job)
+        self._completion.notify_all()
 
     def _retire(self, job: Job) -> None:
         """Enter a job that has finished into the finished-job table,
@@ -410,8 +434,16 @@ class CampaignService:
             return job.result(store_info=self.store.describe()).to_json()
 
     def fetch(self, key: str) -> Any:
-        """A cached point straight from the store (``GET /v1/results/<key>``)."""
-        return self.store.get(key)
+        """A cached point straight from the store (``GET /v1/results/<key>``):
+        ``KeyError`` for a missing key, ``ValueError`` for an invalid one,
+        :class:`StoreFailure` when the store fails."""
+        try:
+            return self.store.get(key)
+        except (KeyError, ValueError):
+            raise
+        except Exception as error:
+            raise StoreFailure(_store_failed(f"reading {key!r}", error)) \
+                from error
 
     def wait(self, job_id: str, timeout: float = 300.0) -> Dict[str, Any]:
         """Block until a job reaches a terminal state; returns its
@@ -444,8 +476,9 @@ class CampaignService:
         points are one entry, and ``dispatch.tasks`` one task per group.
         ``jobs`` counts every job ever admitted by status, evicted
         finished jobs included.
-        ``store`` embeds the manifest-backed :meth:`RunStore.info`, so
-        reporting key counts and byte sizes does not walk the store.
+        ``store`` embeds :meth:`RunStore.info` (a ``COUNT`` and ``SUM``
+        over the :class:`~repro.core.store.DiskStore` table, read outside
+        the service's lock); a store failure raises :class:`StoreFailure`.
         ``dispatch`` reports the worker pool's warm-dispatch counters —
         pool generation, tasks, worker files spooled (``broadcasts``)
         and tasks whose worker was already spooled (``broadcast_hits``)
@@ -456,6 +489,12 @@ class CampaignService:
             dispatch = {"mode": "processes", **self._pool.stats()}
         else:
             dispatch = {"mode": "inline"}
+        # Outside the lock: info() reads every row of a DiskStore.
+        try:
+            store = self.store.info()
+        except Exception as error:
+            raise StoreFailure(_store_failed("reading its statistics",
+                                             error)) from error
         with self._lock:
             by_status: Dict[str, int] = {"queued": 0, "running": 0,
                                          **self._evicted}
@@ -477,7 +516,7 @@ class CampaignService:
                              if served else None),
                 "accepting": self._accepting,
                 "uptime_s": time.time() - self._started_at,
-                "store": self.store.info(),
+                "store": store,
                 "dispatch": dispatch,
             }
 

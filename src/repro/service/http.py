@@ -13,9 +13,11 @@ GET      ``/v1/jobs/<id>/result``      deterministic ScenarioResult JSON
                                        410 once the finished job is
                                        evicted, 404 for an unknown id
 GET      ``/v1/results/<key>``         any cached point, straight from the
-                                       store
+                                       store (404 missing, 500 store
+                                       failure)
 GET      ``/v1/health``                liveness (status, version, uptime)
 GET      ``/v1/stats``                 queue depth, hit rates, utilization
+                                       (500 store failure)
 =======  ============================  =====================================
 
 The server is a :class:`ThreadingHTTPServer` — requests are handled on
@@ -150,6 +152,8 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
         try:
             self._route_get()
+        except StoreFailure as error:  # /v1/results/<key>, /v1/stats
+            self._send_error_json(500, str(error))
         except BrokenPipeError:  # pragma: no cover - client went away
             pass
 
@@ -247,8 +251,9 @@ def serve(store_dir: Optional[str] = None, host: str = "127.0.0.1",
     ephemeral port — read it back from ``server.url``.  Call
     ``server.serve_forever()`` to block, ``server.stop()`` to drain.
     """
-    if store is None:
-        store = DiskStore(store_dir) if store_dir else None
+    if store is None and store_dir:
+        store = DiskStore(store_dir)
+        len(store)  # a store that cannot be read fails now, not per request
     service = CampaignService(store=store, n_workers=n_workers,
                               processes=processes)
     return ServiceHTTPServer((host, port), service, quiet=quiet)

@@ -74,7 +74,8 @@ class TestReplacementsMatchScipyStats:
 
 def test_import_repro_loads_no_scipy_stats():
     """A fresh interpreter imports repro and runs all three replacements
-    without loading scipy.stats or what it drags in."""
+    without loading scipy.stats or what it drags in, nor ``sqlite3``,
+    which only a :class:`~repro.core.store.DiskStore` in use imports."""
     code = (
         "import sys\n"
         "import repro\n"
@@ -90,7 +91,7 @@ def test_import_repro_loads_no_scipy_stats():
         "constellation=AskConstellation(4), snr_db=10.0)\n"
         "ask_awgn_information_rate(10.0)\n"
         "print(' '.join(name for name in ('scipy.stats', 'scipy.optimize', "
-        "'scipy.spatial') if name in sys.modules))\n")
+        "'scipy.spatial', 'sqlite3') if name in sys.modules))\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     loaded = subprocess.run([sys.executable, "-c", code], capture_output=True,

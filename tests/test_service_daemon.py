@@ -9,6 +9,7 @@ interactive-over-bulk priority, drain-on-shutdown.
 
 import contextlib
 import errno
+import json
 import sys
 import threading
 import time
@@ -300,6 +301,130 @@ class TestAdmissionFailure:
             assert done["status"] == "done" and done["computed"] == 1
             assert service.stats()["in_flight_keys"] == 0
             assert service.stats()["points"]["coalesced"] == 0
+
+
+class FullStore(MemoryStore):
+    """A :class:`MemoryStore` whose ``put`` raises ``OSError(ENOSPC)``, as
+    on a full disk, from its ``fail_from``-th put on, until :meth:`heal`
+    is called."""
+
+    def __init__(self, fail_from: Optional[int] = 1) -> None:
+        super().__init__()
+        self.puts = 0
+        self.fail_from = fail_from
+
+    def heal(self) -> None:
+        self.fail_from = None
+
+    def put(self, key: str, value: Any) -> None:
+        self.puts += 1
+        if self.fail_from is not None and self.puts >= self.fail_from:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        super().put(key, value)
+
+
+class _BatchedDoubler:
+    """A gated worker that offers ``call_batch``: a job's points are one
+    dispatch group."""
+
+    def __call__(self, params: Mapping[str, Any], rng) -> Dict[str, Any]:
+        return _gated_worker(params, rng)
+
+    def call_batch(self, params_list, rngs) -> List[Dict[str, Any]]:
+        return [self(params, rng) for params, rng in zip(params_list, rngs)]
+
+
+def _padded(params: Mapping[str, Any], rng: np.random.Generator):
+    return {"y": params["x"] * 2, "pad": "x" * params["pad"]}
+
+
+class TestRecordFailure:
+    """A store error while a finished group is recorded fails that job,
+    attributed to the store, and the dispatcher goes on."""
+
+    def test_a_full_store_fails_the_job_not_the_dispatcher(self):
+        store = FullStore()
+        with _service(store=store, n_workers=1) as service:
+            job = service.submit_scenario(build_scenario("fig8a"), seed=3)
+            done = service.wait(job["job_id"], timeout=60)
+            assert done["status"] == "failed"
+            assert "the store failed while recording 'fig8a' point" \
+                in done["error"]
+            assert "OSError" in done["error"]
+            assert "No space left on device" in done["error"]
+            assert "sweep point" not in done["error"]  # not the worker's
+            _spin_until(lambda: service.stats()["in_flight_keys"] == 0)
+            assert service.stats()["queue_depth"] == 0
+            assert all(thread.is_alive() for thread in service._threads)
+            store.heal()
+            job = service.submit_scenario(build_scenario("fig8a"), seed=3)
+            done = service.wait(job["job_id"], timeout=60)
+            assert done["status"] == "done"
+            assert done["computed"] == done["n_points"]
+            served = service.result_json(job["job_id"])
+        assert served == build_scenario("fig8a").run(rng=3).to_json()
+
+    def test_a_group_fails_at_the_point_the_store_refused(self):
+        # One group of three points; the store refuses the second put.
+        # The first point stays recorded, the job fails, an identical
+        # twin fails with it (each attributed to its own job), and the
+        # third point's live follower in another job is promoted.
+        points = [{"x": 1, "gate": "go"}, {"x": 2, "gate": "go"},
+                  {"x": 3, "gate": "go"}]
+        store = FullStore(fail_from=2)
+        worker = _BatchedDoubler()
+        with _service(store=store, n_workers=1) as service:
+            first = service.submit_scenario(
+                _scenario(points, worker=worker), seed=0)
+            twin = service.submit_scenario(
+                _scenario(points, worker=worker), seed=0)
+            other = service.submit_scenario(_scenario(
+                [{"x": 10, "gate": "later"}, {"x": 20, "gate": "later"},
+                 points[2]], worker=worker), seed=0)
+            assert service.stats()["in_flight_keys"] == 5
+            _gate("go").set()
+            for job in (first, twin):
+                done = service.wait(job["job_id"], timeout=30)
+                assert done["status"] == "failed"
+                assert done["error"].startswith(
+                    "the store failed while recording 'svc-test' point ")
+                assert "'x': 2" in done["error"]
+                assert "No space left on device" in done["error"]
+                assert done["completed"] == 1
+            store.heal()
+            _gate("later").set()
+            done = service.wait(other["job_id"], timeout=30)
+            assert done["status"] == "done"
+            assert done["computed"] == 3 and done["coalesced"] == 0
+            assert service.stats()["in_flight_keys"] == 0
+            assert service.stats()["points"]["failed"] == 1
+            assert all(thread.is_alive() for thread in service._threads)
+        assert sorted(_LOG) == [1, 2, 3, 3, 10, 20]
+
+    def test_a_full_disk_store_fails_the_job_with_a_store_error(self,
+                                                               tmp_path):
+        store = DiskStore(str(tmp_path / "store"))
+        with store._connection() as connection:
+            pages = connection.execute("PRAGMA page_count").fetchone()[0]
+            connection.execute(f"PRAGMA max_page_count = {pages}")
+        scenario = _scenario([{"x": 1, "pad": 20000}], worker=_padded)
+        with _service(store=store, n_workers=1) as service:
+            job = service.submit_scenario(scenario, seed=0)
+            done = service.wait(job["job_id"], timeout=30)
+            assert done["status"] == "failed"
+            assert "StoreError" in done["error"]
+            assert "database or disk is full" in done["error"]
+            assert str(tmp_path / "store") in done["error"]
+            assert all(thread.is_alive() for thread in service._threads)
+            with store._connection() as connection:
+                connection.execute("PRAGMA max_page_count = 1073741823")
+            job = service.submit_scenario(scenario, seed=0)
+            assert service.wait(job["job_id"], timeout=30)["status"] \
+                == "done"
+            served = service.result_json(job["job_id"])
+        assert len(store) == 1
+        assert json.loads(served)["points"] \
+            == json.loads(scenario.run(rng=0).to_json())["points"]
 
 
 class TestCoalescing:

@@ -7,6 +7,7 @@ it through :class:`ServiceClient` — the same path as ``python -m repro
 submit`` and the CI ``serve-smoke`` job.
 """
 
+import errno
 import json
 import os
 import socket
@@ -24,6 +25,26 @@ from test_service_daemon import FlakyStore
 
 #: Cheap registered scenario used throughout (4 points).
 SCENARIO = "fig7"
+
+
+class BrokenReadStore(MemoryStore):
+    """A :class:`MemoryStore` whose ``get`` and ``info`` raise
+    ``OSError(EIO)`` until :meth:`heal` is called."""
+
+    broken = True
+
+    def heal(self) -> None:
+        self.broken = False
+
+    def get(self, key):
+        if self.broken:
+            raise OSError(errno.EIO, "injected store failure")
+        return super().get(key)
+
+    def info(self):
+        if self.broken:
+            raise OSError(errno.EIO, "injected store failure")
+        return super().info()
 
 
 @pytest.fixture()
@@ -179,6 +200,35 @@ class TestErrors:
             client.wait(job["job_id"], timeout=120)
             assert client.result_bytes(job["job_id"]) \
                 == run_scenario("fig8a", rng=3).to_json().encode("utf-8")
+        finally:
+            instance.stop()
+            instance.server_close()
+
+    def test_a_store_failure_on_a_read_is_500_and_the_server_lives_on(
+            self):
+        # GET /v1/results/<key> and GET /v1/stats over a store whose reads
+        # fail: a typed 500 naming the failure, not a dropped connection;
+        # once the store recovers, both answer again.
+        store = BrokenReadStore()
+        store.put("0" * 64, {"y": 1})
+        instance = serve(store=store, port=0, n_workers=1, processes=False)
+        thread = threading.Thread(target=instance.serve_forever, daemon=True)
+        thread.start()
+        try:
+            client = ServiceClient(instance.url, timeout=30.0)
+            for request in (lambda: client.fetch("0" * 64), client.stats):
+                with pytest.raises(ServiceError) as excinfo:
+                    request()
+                assert excinfo.value.status == 500
+                assert "the store failed" in excinfo.value.payload["error"]
+                assert "OSError" in excinfo.value.payload["error"]
+            assert client.health()["status"] == "ok"
+            store.heal()
+            assert client.fetch("0" * 64) == {"y": 1}
+            assert client.stats()["store"]["entries"] == 1
+            with pytest.raises(ServiceError) as excinfo:
+                client.fetch("1" * 64)
+            assert excinfo.value.status == 404
         finally:
             instance.stop()
             instance.server_close()
